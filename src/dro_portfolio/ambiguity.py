@@ -114,20 +114,3 @@ def contains(amb: PolyhedralAmbiguitySet, p, tol: float = 1e-9) -> bool:
         return False
     return True
 
-
-def from_config(cfg: dict, p_hat=None) -> PolyhedralAmbiguitySet:
-    """Build from a JSON fragment: either {"gamma": g} or explicit matrices."""
-    if "gamma" in cfg:
-        if p_hat is None:
-            raise ValueError("gamma form needs the empirical distribution")
-        return from_gamma(p_hat, float(cfg["gamma"]))
-    A0 = np.asarray(cfg.get("A0", []), dtype=float)
-    A1 = np.asarray(cfg.get("A1", []), dtype=float)
-    m = A0.shape[1] if A0.size else A1.shape[1]
-    return PolyhedralAmbiguitySet(
-        A0=A0 if A0.size else np.zeros((0, m)),
-        d0=np.asarray(cfg.get("d0", []), dtype=float),
-        A1=A1 if A1.size else np.zeros((0, m)),
-        d1=np.asarray(cfg.get("d1", []), dtype=float),
-        m=m,
-    )

@@ -15,12 +15,9 @@ import numpy as np
 from . import robust_lp
 from .ambiguity import from_gamma
 from .data import ReturnMatrix, build_scenario_set
-from .partition import ErrorBudget, build_family
+from .partition import ErrorBudget
 from .robust_lp import TradingConstraintSet
 from .utility import SeparableUtility
-
-# switch to the shared cost-leg epigraph when the cut block would get huge
-_DECOMPOSE_CUT_THRESHOLD = 200_000
 
 
 class BacktestError(RuntimeError):
@@ -44,7 +41,6 @@ class BacktestConfig:
     periods_per_year: int = 252
     holding_caps: np.ndarray | None = None
     allow_short: bool = True
-    decomposed: bool | None = None
 
     def __post_init__(self):
         if self.train_window < 1 or self.rebalance_every < 1:
@@ -70,6 +66,22 @@ class BacktestConfig:
             risk_free_annual=float(data.get("risk_free_annual", 0.0)),
             periods_per_year=int(data.get("periods_per_year", 252)),
             allow_short=bool(cons.get("allow_short", True)),
+        )
+
+    @property
+    def budget(self) -> ErrorBudget:
+        """Per-axis error budget of the tangent-plane family."""
+        return ErrorBudget(self.eps_x, self.eps_c)
+
+    def trading_constraints(self, n: int) -> TradingConstraintSet:
+        """The constraint set for n assets with this run's uniform cost rate."""
+        return TradingConstraintSet.uniform(
+            n,
+            leverage=self.leverage,
+            cost_rate=self.cost_rate,
+            turnover_cost_limit=self.turnover_cost_limit,
+            holding_caps=self.holding_caps,
+            allow_short=self.allow_short,
         )
 
 
@@ -140,33 +152,15 @@ def solve_rebalance(
 ):
     """Build scenarios ending right before period t and solve that LP."""
     scen = build_scenario_set(data, (t - config.train_window, t))
-    n = scen.n
-    con = TradingConstraintSet.uniform(
-        n,
-        leverage=config.leverage,
-        cost_rate=config.cost_rate,
-        turnover_cost_limit=config.turnover_cost_limit,
-        holding_caps=config.holding_caps,
-        allow_short=config.allow_short,
+    sol, model, _ = robust_lp.rebalance(
+        scen,
+        from_gamma(scen.probabilities, config.gamma),
+        config.trading_constraints(scen.n),
+        config.utility,
+        config.budget,
+        k_prev,
     )
-    maxabs = float(np.abs(scen.scenarios).max())
-    x_hi = config.leverage * maxabs
-    x_lo = max(-1.0 + 1e-6, -x_hi)
-    c_hi = config.turnover_cost_limit if config.cost_rate > 0 else 0.0
-    budget = ErrorBudget(config.eps_x, config.eps_c)
-    fam = build_family(config.utility, x_lo, x_hi, 0.0, c_hi, budget)
-    L, R = fam.a.size, fam.b.size
-    decomposed = config.decomposed
-    if decomposed is None:
-        decomposed = scen.m * L * R > _DECOMPOSE_CUT_THRESHOLD
-    model = robust_lp.assemble(scen, fam, amb_from(config, scen), con, k_prev,
-                               decomposed=decomposed)
-    sol = robust_lp.solve(model)
     return sol, model, scen
-
-
-def amb_from(config: BacktestConfig, scen):
-    return from_gamma(scen.probabilities, config.gamma)
 
 
 def run(config: BacktestConfig, data: ReturnMatrix):
@@ -285,10 +279,11 @@ def benchmark_buy_and_hold(
     initial_cost_rate: float = 0.0,
     start_period: int = 0,
 ):
-    """Hold-forever benchmark; cost charged once on the initial buy.
+    """Hold-forever benchmark path; cost charged once on the initial buy.
 
     With asset=None the portfolio starts equal-weighted over all assets;
-    afterwards weights drift with prices and nothing is traded.
+    afterwards weights drift with prices and nothing is traded.  Score it
+    with ``metrics`` on the same Sharpe basis as the run it is compared to.
     """
     n, T = data.returns.shape
     if T <= start_period:
@@ -316,5 +311,4 @@ def benchmark_buy_and_hold(
         solve_times=(),
         invested_weights=(float(k0[risky].sum()),),
     )
-    report = metrics(path, 252, 0.0)
-    return path, report
+    return path

@@ -24,7 +24,6 @@ from .data import append_risk_free, build_scenario_set, compute_returns, \
     interpolate_missing, load_prices
 from .partition import ErrorBudget, build_family, certify_error, \
     removal_experiment
-from .robust_lp import TradingConstraintSet
 from .utility import SeparableUtility
 
 USAGE_ERROR = 2
@@ -168,35 +167,20 @@ def cmd_partition(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_once(cfg: dict, returns, gamma: float) -> dict:
-    cons = cfg.get("constraints", {})
-    budget_cfg = cfg.get("budget", {})
-    bt_cfg = cfg.get("backtest", {})
-    utility = SeparableUtility.from_config(cfg.get("utility", {"kind": "log"}))
-    window = int(bt_cfg.get("train_window", 126))
+def _solve_once(config: bt.BacktestConfig, returns, gamma: float) -> dict:
+    window = config.train_window
     T = returns.returns.shape[1]
     if T < window:
         raise UsageError(f"need at least {window} return periods, have {T}")
     scen = build_scenario_set(returns, (T - window, T))
-    n = scen.n
-    con = TradingConstraintSet.uniform(
-        n,
-        leverage=float(cons.get("leverage", 1.5)),
-        cost_rate=float(cons.get("cost_rate", 0.0)),
-        turnover_cost_limit=float(cons.get("c_max", 0.0)),
-        allow_short=bool(cons.get("allow_short", True)),
+    sol, model, _ = robust_lp.rebalance(
+        scen,
+        from_gamma(scen.probabilities, gamma),
+        config.trading_constraints(scen.n),
+        config.utility,
+        config.budget,
+        np.zeros(scen.n),
     )
-    maxabs = float(np.abs(scen.scenarios).max())
-    x_hi = con.leverage * maxabs
-    x_lo = max(-1.0 + 1e-6, -x_hi)
-    c_hi = con.turnover_cost_limit if con.cost_vector.max(initial=0.0) > 0 else 0.0
-    budget = ErrorBudget(
-        float(budget_cfg.get("eps_x", 1e-3)), float(budget_cfg.get("eps_c", 1e-5))
-    )
-    fam = build_family(utility, x_lo, x_hi, 0.0, c_hi, budget)
-    amb = from_gamma(scen.probabilities, gamma)
-    model = robust_lp.assemble(scen, fam, amb, con, np.zeros(n))
-    sol = robust_lp.solve(model)
     if sol.status != "optimal":
         return {"status": sol.status, "gamma": gamma}
     k, diag = robust_lp.extract_weights(sol, model.layout)
@@ -215,7 +199,8 @@ def _solve_once(cfg: dict, returns, gamma: float) -> dict:
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     returns = _load_returns(cfg.get("data", {}))
-    gammas = [float(cfg.get("ambiguity", {}).get("gamma", 0.0))]
+    config = bt.BacktestConfig.from_config(cfg)
+    gammas = [config.gamma]
     sweep_name = None
     if args.sweep:
         sweep_name, values = _sweep_values(args.sweep)
@@ -225,9 +210,9 @@ def cmd_solve(args) -> int:
     workers = _sweep_workers(len(gammas))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda g: _solve_once(cfg, returns, g), gammas))
+            results = list(pool.map(lambda g: _solve_once(config, returns, g), gammas))
     else:
-        results = [_solve_once(cfg, returns, g) for g in gammas]
+        results = [_solve_once(config, returns, g) for g in gammas]
     status = 0
     for g, res in zip(gammas, results):
         if res.get("status") != "optimal":
@@ -317,12 +302,14 @@ def cmd_backtest(args) -> int:
                        report.cumulative_return))
         if args.benchmarks and args.out:
             for name, asset in (("equal_weight", None),):
-                bpath, brep = bt.benchmark_buy_and_hold(
+                bpath = bt.benchmark_buy_and_hold(
                     returns,
                     asset=asset,
                     initial_cost_rate=config.cost_rate,
                     start_period=config.train_window,
                 )
+                brep = bt.metrics(bpath, config.periods_per_year,
+                                  config.risk_free_annual)
                 bdoc = {"status": "ok", "benchmark": name}
                 bdoc.update(brep.to_dict())
                 _emit_json(bdoc, args, f"benchmark_{name}{tag}.json")

@@ -32,14 +32,6 @@ class OrderingError(ValueError):
 
 
 @dataclass(frozen=True)
-class CsvLayout:
-    """Shape of the input file; defaults match the documented layout."""
-
-    date_column: str = "date"
-    delimiter: str = ","
-
-
-@dataclass(frozen=True)
 class PriceSeries:
     """Adjusted close prices, n tickers by T dates; NaN flags a missing cell."""
 
@@ -123,15 +115,14 @@ class ScenarioSet:
         return json.dumps(doc)
 
 
-def load_prices(path, layout: CsvLayout | None = None) -> PriceSeries:
+def load_prices(path) -> PriceSeries:
     """Parse the CSV at path into a PriceSeries with missing cells flagged.
 
     Raises ParseError with the offending line number on malformed rows and
     OrderingError on non-monotone or duplicate dates.
     """
-    layout = layout or CsvLayout()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=layout.delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:

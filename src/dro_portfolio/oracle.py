@@ -10,16 +10,19 @@ suites; the test suite leans on the same functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from . import robust_lp
 from .ambiguity import PolyhedralAmbiguitySet, from_gamma
 from .data import ScenarioSet
-from .partition import ErrorBudget, build_family
-from .robust_lp import TradingConstraintSet
+from .partition import ErrorBudget, HyperplaneFamily
+# bound at import, so that assemble_product keeps working while it stands
+# in for robust_lp.assemble
+from .robust_lp import TradingConstraintSet, assemble as _assemble
 from .utility import SeparableUtility
 
 
@@ -129,6 +132,56 @@ def duality_gap(
     if amb.n_ineq:
         dual_val -= float(amb.d1 @ sol.lam)
     return abs(inner - dual_val)
+
+
+# ---------------------------------------------------------------------------
+# product-form reference LP
+# ---------------------------------------------------------------------------
+
+
+def assemble_product(
+    scen: ScenarioSet,
+    fam: HyperplaneFamily,
+    amb: PolyhedralAmbiguitySet,
+    con: TradingConstraintSet,
+    k_prev,
+) -> robust_lp.RobustLpModel:
+    """The rebalance LP with one cut row per (scenario, x-anchor, c-anchor).
+
+    Reference for robust_lp.assemble: its split cut block is replaced by
+    all m*L*R rows z_j - a_l K'x^j - b_r C'u <= gamma[l, r], which use the
+    intercept matrix as stored, and the split's scalar s is pinned to 0.
+    The remaining rows are shared.  The signature is that of
+    robust_lp.assemble, so the reference can stand in for it.
+    """
+    model = _assemble(scen, fam, amb, con, k_prev)
+    lay = model.layout
+    X, C = scen.scenarios, con.cost_vector
+    m, n = X.shape
+    L, R = fam.a.size, fam.b.size
+    rows = m * L * R
+    A_h = np.zeros((rows, lay.nv))
+    k_coef = np.repeat((fam.a[None, :, None] * X[:, None, :]).reshape(m * L, n),
+                       R, axis=0)
+    A_h[:, lay.kp] = -k_coef
+    A_h[:, lay.km] = k_coef
+    A_h[:, lay.u] = -np.tile(fam.b[:, None] * C[None, :], (m * L, 1))
+    A_h[np.arange(rows), lay.z.start + np.repeat(np.arange(m), L * R)] = 1.0
+    kept = model.row_sections["cuts_c"][1]  # the split cut rows come first
+    shift = rows - kept
+    sections = {"cuts": (0, rows)}
+    sections.update({name: (lo + shift, hi + shift)
+                     for name, (lo, hi) in model.row_sections.items()
+                     if lo >= kept})
+    bounds = list(model.bounds)
+    bounds[lay.s] = (0.0, 0.0)
+    return replace(
+        model,
+        A_ub=sp.vstack([sp.csr_matrix(A_h), model.A_ub[kept:]], format="csr"),
+        b_ub=np.concatenate([np.tile(fam.gamma.ravel(), m), model.b_ub[kept:]]),
+        bounds=tuple(bounds),
+        row_sections=sections,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +440,12 @@ def random_small_instance(
     return scen, amb, con
 
 
-def _solve_robust(scen, amb, con, u, budget_total, k_prev=None, decomposed=False):
-    k_prev = np.zeros(scen.n) if k_prev is None else k_prev
-    maxabs = float(np.abs(scen.scenarios).max())
-    x_hi = con.leverage * maxabs
-    x_lo = max(-1.0 + 1e-6, -x_hi)
-    if x_hi == 0.0:
-        x_hi = x_lo = 0.0
-    has_cost = float(con.cost_vector.max(initial=0.0)) > 0.0
-    c_hi = con.turnover_cost_limit if has_cost else 0.0
+def _solve_robust(scen, amb, con, u, budget_total):
+    """robust_lp.rebalance from k_prev = 0 with the total budget split per axis."""
+    c_hi = robust_lp.approximation_box(scen, con)[2]
     eps_c = min(budget_total * 0.5, 1e-5) if c_hi > 0 else budget_total * 0.5
     budget = ErrorBudget(eps_x=budget_total - eps_c, eps_c=eps_c)
-    fam = build_family(u, x_lo, x_hi, 0.0, c_hi, budget)
-    model = robust_lp.assemble(scen, fam, amb, con, k_prev, decomposed=decomposed)
-    sol = robust_lp.solve(model)
-    return sol, fam, model
+    return robust_lp.rebalance(scen, amb, con, u, budget, np.zeros(scen.n))
 
 
 def verify_duality(seed: int = 0, instances: int = 12, budget: float = 1e-8):
@@ -455,7 +499,7 @@ def verify_approximation(seed: int = 0, instances: int = 6, fault: bool = False)
     failures = []
     for t in range(instances):
         scen, amb, con = random_small_instance(rng, n_max=2, m_max=8)
-        sol, fam, model = _solve_robust(scen, amb, con, u, budget)
+        sol, _, fam = _solve_robust(scen, amb, con, u, budget)
         if fault:
             fam = type(fam)(
                 a=fam.a,

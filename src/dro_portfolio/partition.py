@@ -84,11 +84,6 @@ class HyperplaneFamily:
     counts: tuple
     budget: ErrorBudget | None = None
 
-    def plane_min(self, x: float, c: float) -> float:
-        """min over (l, r) of a_l x + b_r c + gamma_{l,r} at one point."""
-        vals = self.a[:, None] * x + self.b[None, :] * c + self.gamma
-        return float(vals.min())
-
 
 # ---------------------------------------------------------------------------
 # scalar root finding

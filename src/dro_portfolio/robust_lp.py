@@ -8,13 +8,14 @@ subject to trading constraints on K = K+ - K-, turnover magnitudes u,
 tangent-plane cuts linking Z to the approximated utility at each
 scenario, and the link rows W <= Z_j + (A0'nu + A1'lam)_j with lam >= 0.
 The maximizing K is the robust portfolio for the polyhedral family of
-scenario probabilities.
+scenario probabilities.  ``rebalance`` runs the whole step: approximation
+box, tangent family, assembly and solve.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +23,12 @@ from scipy.optimize import linprog
 
 from .ambiguity import PolyhedralAmbiguitySet
 from .data import ScenarioSet
-from .partition import HyperplaneFamily
+from .partition import ErrorBudget, HyperplaneFamily, build_family
+from .utility import SeparableUtility
+
+# HiGHS's primal feasibility tolerance is 1e-7; a larger violation of the
+# returned point means the solution cannot be trusted
+_RESIDUAL_TOL = 1e-6
 
 
 class AssemblyError(ValueError):
@@ -90,11 +96,11 @@ class DecisionLayout:
     w: int
     nu: slice
     lam: slice
-    s: int | None
+    s: int
     nv: int
 
     @classmethod
-    def build(cls, n: int, m: int, m0: int, m1: int, with_s: bool) -> "DecisionLayout":
+    def build(cls, n: int, m: int, m0: int, m1: int) -> "DecisionLayout":
         o = 0
         kp = slice(o, o + n); o += n
         km = slice(o, o + n); o += n
@@ -103,9 +109,7 @@ class DecisionLayout:
         w = o; o += 1
         nu = slice(o, o + m0); o += m0
         lam = slice(o, o + m1); o += m1
-        s = None
-        if with_s:
-            s = o; o += 1
+        s = o; o += 1
         return cls(kp=kp, km=km, u=u, z=z, w=w, nu=nu, lam=lam, s=s, nv=o)
 
 
@@ -167,15 +171,14 @@ def assemble(
     amb: PolyhedralAmbiguitySet,
     con: TradingConstraintSet,
     k_prev,
-    decomposed: bool = False,
 ) -> RobustLpModel:
     """Build the rebalance LP.
 
-    The default formulation enumerates one cut per (scenario, x-anchor,
-    c-anchor) triple.  With decomposed=True the cost leg gets a single
-    shared epigraph scalar, which shrinks the cut count from m*L*R to
-    m*L + R; both formulations have identical optima because the plane
-    intercepts split additively across the two legs.
+    The cost leg gets one shared epigraph scalar s, so the m*L*R tangent
+    planes become m*L return-leg cuts plus R cost-leg cuts.  This is exact
+    because the intercepts of a separable utility split as
+    gamma[l, r] = A_l + B_r; an intercept matrix that does not split is
+    refused with an AssemblyError naming the offending (l, r) entry.
     """
     X = scen.scenarios
     m, n = X.shape
@@ -192,8 +195,21 @@ def assemble(
     b = fam.b
     gamma = fam.gamma
     L, R = a.size, b.size
+    # pick the split anchored at gamma[0, 0]: A_l = gamma[l, 0],
+    # B_r = gamma[0, r] - gamma[0, 0]; a built family misses it only by
+    # the rounding of its stored intercepts
+    A_l = gamma[:, 0]
+    B_c = gamma[0, :] - gamma[0, 0]
+    defect = np.abs(gamma - A_l[:, None] - B_c[None, :])
+    worst = np.unravel_index(np.argmax(defect), defect.shape)
+    if defect[worst] > 1e-12 * np.abs(gamma).max():
+        raise AssemblyError(
+            f"plane intercepts do not split at (l, r) = ({worst[0]}, {worst[1]}):"
+            f" |gamma[l, r] - gamma[l, 0] - gamma[0, r] + gamma[0, 0]|"
+            f" = {defect[worst]:.3e}"
+        )
     m0, m1 = amb.n_eq, amb.n_ineq
-    layout = DecisionLayout.build(n, m, m0, m1, with_s=decomposed)
+    layout = DecisionLayout.build(n, m, m0, m1)
     nv = layout.nv
     C = con.cost_vector
 
@@ -209,41 +225,21 @@ def assemble(
         sections[name] = (row_at, row_at + block.shape[0])
         row_at += block.shape[0]
 
-    if not decomposed:
-        # cut rows (j, l, r): z_j - a_l K'x^j - b_r C'u <= gamma_{l,r}
-        rows_h = m * L * R
-        A_h = np.zeros((rows_h, nv))
-        k_coef = (a[None, :, None] * X[:, None, :]).reshape(m * L, 1, n)
-        k_coef = np.broadcast_to(k_coef, (m * L, R, n)).reshape(rows_h, n)
-        A_h[:, layout.kp] = -k_coef
-        A_h[:, layout.km] = k_coef
-        u_coef = np.broadcast_to(
-            (b[:, None] * C[None, :])[None, :, :], (m * L, R, n)
-        ).reshape(rows_h, n)
-        A_h[:, layout.u] = -u_coef
-        z_rows = np.repeat(np.arange(m), L * R)
-        A_h[np.arange(rows_h), layout.z.start + z_rows] = 1.0
-        push(A_h, np.broadcast_to(gamma[None], (m, L, R)).reshape(rows_h), "cuts")
-    else:
-        # the intercept matrix splits as gamma_{l,r} = A_l + B_r; pick the
-        # split anchored at gamma[0, 0]
-        A_l = gamma[:, 0].copy()
-        B_c = gamma[0, :] - gamma[0, 0]
-        # return-leg cuts (j, l): z_j - s - a_l K'x^j <= A_l
-        rows_x = m * L
-        A_hx = np.zeros((rows_x, nv))
-        k_coef = (a[None, :, None] * X[:, None, :]).reshape(rows_x, n)
-        A_hx[:, layout.kp] = -k_coef
-        A_hx[:, layout.km] = k_coef
-        z_rows = np.repeat(np.arange(m), L)
-        A_hx[np.arange(rows_x), layout.z.start + z_rows] = 1.0
-        A_hx[:, layout.s] = -1.0
-        push(A_hx, np.tile(A_l, m), "cuts_x")
-        # cost-leg cuts (r): s - b_r C'u <= B_r
-        A_hc = np.zeros((R, nv))
-        A_hc[:, layout.u] = -(b[:, None] * C[None, :])
-        A_hc[:, layout.s] = 1.0
-        push(A_hc, B_c.copy(), "cuts_c")
+    # return-leg cuts (j, l): z_j - s - a_l K'x^j <= A_l
+    rows_x = m * L
+    A_hx = np.zeros((rows_x, nv))
+    k_coef = (a[None, :, None] * X[:, None, :]).reshape(rows_x, n)
+    A_hx[:, layout.kp] = -k_coef
+    A_hx[:, layout.km] = k_coef
+    z_rows = np.repeat(np.arange(m), L)
+    A_hx[np.arange(rows_x), layout.z.start + z_rows] = 1.0
+    A_hx[:, layout.s] = -1.0
+    push(A_hx, np.tile(A_l, m), "cuts_x")
+    # cost-leg cuts (r): s - b_r C'u <= B_r
+    A_hc = np.zeros((R, nv))
+    A_hc[:, layout.u] = -(b[:, None] * C[None, :])
+    A_hc[:, layout.s] = 1.0
+    push(A_hc, B_c, "cuts_c")
 
     # link rows: w - z_j - (A0'nu + A1'lam)_j <= 0
     A_link = np.zeros((m, nv))
@@ -308,11 +304,10 @@ def assemble(
         + [(None, None)]
         + [(None, None)] * m0
         + [(0.0, None)] * m1
-        + ([(None, None)] if decomposed else [])
+        + [(None, None)]
     )
 
     provenance = {
-        "formulation": "decomposed" if decomposed else "product",
         "counts": (L - 1, R - 1),
         "n": n,
         "m": m,
@@ -334,17 +329,14 @@ def assemble(
     )
 
 
-def expected_row_count(
-    m: int, n: int, counts: tuple, holding: bool, decomposed: bool = False
-) -> int:
-    """Closed-form row total for the assembled system."""
-    L, R = counts[0] + 1, counts[1] + 1
-    cuts = m * L + R if decomposed else m * L * R
-    return cuts + m + 1 + (n if holding else 0) + 1 + 2 * n + 1
-
-
 def solve(model: RobustLpModel) -> LpSolution:
-    """Solve the assembled LP; deterministic for a fixed model."""
+    """Solve the assembled LP; deterministic for a fixed model.
+
+    The status is "optimal", "infeasible" (with the row of an elastic
+    infeasibility certificate), "unbounded" or "numerical".  "numerical"
+    covers both a HiGHS failure and a returned point whose worst row
+    violation, kept in ``residual``, exceeds _RESIDUAL_TOL.
+    """
     t0 = time.perf_counter()
     res = linprog(
         c=-model.c_max_objective,
@@ -355,51 +347,31 @@ def solve(model: RobustLpModel) -> LpSolution:
     )
     elapsed = time.perf_counter() - t0
     iterations = int(getattr(res, "nit", 0) or 0)
+    failed = LpSolution(
+        status="numerical",
+        weights=None,
+        objective=None,
+        nu=None,
+        lam=None,
+        iterations=iterations,
+        solve_time=elapsed,
+        x=None,
+        residual=None,
+        certificate_row=None,
+        provenance=model.provenance,
+    )
     if res.status == 2:
-        return LpSolution(
-            status="infeasible",
-            weights=None,
-            objective=None,
-            nu=None,
-            lam=None,
-            iterations=iterations,
-            solve_time=elapsed,
-            x=None,
-            residual=None,
-            certificate_row=_diagnose_infeasible(model),
-            provenance=model.provenance,
-        )
+        return replace(failed, status="infeasible",
+                       certificate_row=_diagnose_infeasible(model))
     if res.status == 3:
-        return LpSolution(
-            status="unbounded",
-            weights=None,
-            objective=None,
-            nu=None,
-            lam=None,
-            iterations=iterations,
-            solve_time=elapsed,
-            x=None,
-            residual=None,
-            certificate_row=None,
-            provenance=model.provenance,
-        )
+        return replace(failed, status="unbounded")
     if res.status != 0:
-        return LpSolution(
-            status="numerical",
-            weights=None,
-            objective=None,
-            nu=None,
-            lam=None,
-            iterations=iterations,
-            solve_time=elapsed,
-            x=None,
-            residual=None,
-            certificate_row=None,
-            provenance=model.provenance,
-        )
+        return failed
     x = res.x
     lay = model.layout
     residual = float(max(0.0, np.max(model.A_ub @ x - model.b_ub, initial=0.0)))
+    if residual > _RESIDUAL_TOL:
+        return replace(failed, residual=residual)
     weights = x[lay.kp] - x[lay.km]
     return LpSolution(
         status="optimal",
@@ -458,62 +430,34 @@ def extract_weights(sol: LpSolution, layout: DecisionLayout):
     return k, diagnostics
 
 
-def recompute_objective(sol: LpSolution, layout: DecisionLayout) -> float:
-    """W - d0'nu - d1'lam straight from the solution vector."""
-    if sol.status != "optimal":
-        raise SolutionStatusError("need an optimal solution")
-    x = sol.x
-    val = x[layout.w]
-    d0 = sol.provenance["d0"]
-    d1 = sol.provenance["d1"]
-    if d0.size:
-        val -= d0 @ x[layout.nu]
-    if d1.size:
-        val -= d1 @ x[layout.lam]
-    return float(val)
+def approximation_box(scen: ScenarioSet, con: TradingConstraintSet) -> tuple:
+    """Return and cost intervals the tangent planes must cover: (x_lo, x_hi, c_hi).
+
+    Portfolio returns K'x stay within leverage * max|x| of zero, floored
+    just above -1 where the utility ends; an all-zero window gives the
+    one-point box x_lo = x_hi = 0.  The cost axis runs from 0 to the
+    turnover cost limit, or is the single point 0 when trading is free.
+    """
+    x_hi = con.leverage * float(np.abs(scen.scenarios).max())
+    x_lo = max(-1.0 + 1e-6, -x_hi)
+    c_hi = con.turnover_cost_limit if con.cost_vector.max(initial=0.0) > 0 else 0.0
+    return x_lo, x_hi, c_hi
 
 
-def to_lp_text(model: RobustLpModel) -> str:
-    """Plain LP-format dump for cross-checking with external solvers."""
-    lay = model.layout
-    names = np.empty(lay.nv, dtype=object)
-    for i in range(lay.kp.start, lay.kp.stop):
-        names[i] = f"kp{i - lay.kp.start}"
-    for i in range(lay.km.start, lay.km.stop):
-        names[i] = f"km{i - lay.km.start}"
-    for i in range(lay.u.start, lay.u.stop):
-        names[i] = f"u{i - lay.u.start}"
-    for i in range(lay.z.start, lay.z.stop):
-        names[i] = f"z{i - lay.z.start}"
-    names[lay.w] = "w"
-    for i in range(lay.nu.start, lay.nu.stop):
-        names[i] = f"nu{i - lay.nu.start}"
-    for i in range(lay.lam.start, lay.lam.stop):
-        names[i] = f"lam{i - lay.lam.start}"
-    if lay.s is not None:
-        names[lay.s] = "s"
+def rebalance(
+    scen: ScenarioSet,
+    amb: PolyhedralAmbiguitySet,
+    con: TradingConstraintSet,
+    u: SeparableUtility,
+    budget: ErrorBudget,
+    k_prev,
+) -> tuple:
+    """One robust rebalance: box, tangent family, LP assembly and solve.
 
-    def terms(coefs, idx):
-        parts = []
-        for j, v in zip(idx, coefs):
-            if v == 0:
-                continue
-            sign = "+" if v >= 0 else "-"
-            parts.append(f"{sign} {abs(v):.17g} {names[j]}")
-        return " ".join(parts) if parts else "+ 0 w"
-
-    lines = ["Maximize", " obj: " + terms(model.c_max_objective, range(lay.nv))]
-    lines.append("Subject To")
-    A = model.A_ub.tocsr()
-    for r in range(model.n_rows):
-        row = A.getrow(r)
-        lines.append(
-            f" r{r}: " + terms(row.data, row.indices) + f" <= {model.b_ub[r]:.17g}"
-        )
-    lines.append("Bounds")
-    for i, (lo, hi) in enumerate(model.bounds):
-        lo_s = "-inf" if lo is None else f"{lo:.17g}"
-        hi_s = "+inf" if hi is None else f"{hi:.17g}"
-        lines.append(f" {lo_s} <= {names[i]} <= {hi_s}")
-    lines.append("End")
-    return "\n".join(lines)
+    Returns (solution, model, family); read the weights with
+    ``extract_weights(solution, model.layout)``.
+    """
+    x_lo, x_hi, c_hi = approximation_box(scen, con)
+    fam = build_family(u, x_lo, x_hi, 0.0, c_hi, budget)
+    model = assemble(scen, fam, amb, con, k_prev)
+    return solve(model), model, fam

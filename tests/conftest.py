@@ -48,9 +48,8 @@ def kelly_instance():
 
 
 def small_family(u, scen, con, budget_x=1e-6, budget_c=1e-6):
-    """Hyperplane family on the box implied by an instance's leverage."""
-    hi = con.leverage * float(np.abs(scen.scenarios).max())
-    c_hi = con.turnover_cost_limit if float(con.cost_vector.max()) > 0 else 0.0
+    """Hyperplane family on the production approximation box of an instance."""
+    x_lo, x_hi, c_hi = robust_lp.approximation_box(scen, con)
     return dp.build_family(
-        u, max(-1 + 1e-6, -hi), hi, 0.0, c_hi, dp.ErrorBudget(budget_x, budget_c)
+        u, x_lo, x_hi, 0.0, c_hi, dp.ErrorBudget(budget_x, budget_c)
     )

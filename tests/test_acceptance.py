@@ -57,14 +57,10 @@ def _report(criterion: int, ok: bool, detail: str = ""):
 
 
 def _robust_solve(u, scen, amb, con, eps_x, eps_c):
-    # mirror of the production box choices in backtest.solve_rebalance
-    maxabs = float(np.abs(scen.scenarios).max())
-    x_hi = con.leverage * maxabs
-    x_lo = max(-1.0 + 1e-6, -x_hi)
-    c_hi = con.turnover_cost_limit if con.cost_vector.max(initial=0.0) > 0 else 0.0
-    fam = build_family(u, x_lo, x_hi, 0.0, c_hi, ErrorBudget(eps_x, eps_c))
-    model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
-    return robust_lp.solve(model), model
+    sol, model, _ = robust_lp.rebalance(
+        scen, amb, con, u, ErrorBudget(eps_x, eps_c), np.zeros(scen.n)
+    )
+    return sol, model
 
 
 def _load_market():

@@ -89,12 +89,3 @@ def test_custom_polyhedron_membership():
     assert dp.contains(amb, np.array([0.3, 0.3, 0.4]))
     assert not dp.contains(amb, np.array([0.2, 0.4, 0.4]))
     assert amb.n_eq == 1 and amb.n_ineq == 1
-
-
-def test_from_config():
-    from dro_portfolio.ambiguity import from_config
-
-    cfg = {"gamma": 0.25}
-    amb = from_config(cfg, p_hat=np.array([0.5, 0.5]))
-    assert amb.gamma == 0.25
-    np.testing.assert_allclose(amb.d1, -0.75 * np.array([0.5, 0.5]))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dro_portfolio import backtest, data as data_mod
+from dro_portfolio import backtest, data as data_mod, oracle, robust_lp
 
 
 def constant_market(r=0.002, n=2, T=120):
@@ -190,9 +190,8 @@ def test_sharpe_none_when_flat():
 
 
 def test_benchmark_buy_and_hold(two_regime_returns):
-    bench, rep = backtest.benchmark_buy_and_hold(
-        two_regime_returns, start_period=60
-    )
+    bench = backtest.benchmark_buy_and_hold(two_regime_returns, start_period=60)
+    rep = backtest.metrics(bench, 252, 0.0)
     R = two_regime_returns.returns
     n = R.shape[0]
     w = np.full(n, 1.0 / n)
@@ -206,7 +205,7 @@ def test_benchmark_buy_and_hold(two_regime_returns):
 
 
 def test_benchmark_single_asset_with_entry_cost(two_regime_returns):
-    bench, _ = backtest.benchmark_buy_and_hold(
+    bench = backtest.benchmark_buy_and_hold(
         two_regime_returns, asset=0, initial_cost_rate=0.01, start_period=60
     )
     R = two_regime_returns.returns
@@ -258,8 +257,9 @@ def test_config_rejects_bad_utility():
         )
 
 
-def test_forced_decomposition_changes_nothing(two_regime_returns, log_utility):
-    base = dict(
+def test_forced_decomposition_changes_nothing(two_regime_returns, log_utility,
+                                             monkeypatch):
+    cfg = backtest.BacktestConfig(
         train_window=60,
         rebalance_every=60,
         leverage=1.5,
@@ -270,12 +270,13 @@ def test_forced_decomposition_changes_nothing(two_regime_returns, log_utility):
         eps_c=1e-5,
         utility=log_utility,
     )
-    p_prod, _ = backtest.run(
-        backtest.BacktestConfig(**base, decomposed=False), two_regime_returns
-    )
-    p_dec, _ = backtest.run(
-        backtest.BacktestConfig(**base, decomposed=True), two_regime_returns
-    )
+    p_dec, _ = backtest.run(cfg, two_regime_returns)
+    # every rebalance again, on the product-form reference LP
+    monkeypatch.setattr(robust_lp, "assemble", oracle.assemble_product)
+    n = two_regime_returns.returns.shape[0]
+    _, model, _ = backtest.solve_rebalance(cfg, two_regime_returns, 60, np.zeros(n))
+    assert "cuts" in model.row_sections  # the m*L*R product block
+    p_prod, _ = backtest.run(cfg, two_regime_returns)
     np.testing.assert_allclose(p_dec.values, p_prod.values, atol=1e-9)
 
 

@@ -10,9 +10,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from dro_portfolio import cli
+from dro_portfolio import backtest, cli, data, robust_lp
+from dro_portfolio.ambiguity import from_gamma
+from dro_portfolio.partition import ErrorBudget
+from dro_portfolio.utility import SeparableUtility
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "two_regime.csv")
 
@@ -137,8 +141,26 @@ def test_solve_report(tmp_path):
     assert doc["gamma"] == 0.25
     assert len(doc["weights"]) == 4  # three risky assets plus cash leg
     assert doc["invested_weight"] <= 1.5 + 1e-9
-    assert doc["objective"] == pytest.approx(doc["objective"])
     assert doc["solve_time_ms"] > 0
+
+    # the library route on the same last window must give the same answer
+    returns = data.append_risk_free(
+        data.compute_returns(data.interpolate_missing(data.load_prices(FIXTURE))),
+        0.02, 252,
+    )
+    T = returns.returns.shape[1]
+    scen = data.build_scenario_set(returns, (T - 60, T))
+    con = robust_lp.TradingConstraintSet.uniform(
+        4, leverage=1.5, cost_rate=0.001, turnover_cost_limit=0.02,
+        allow_short=False,
+    )
+    sol, model, _ = robust_lp.rebalance(
+        scen, from_gamma(scen.probabilities, 0.25), con, SeparableUtility("log"),
+        ErrorBudget(1e-3, 1e-5), np.zeros(4),
+    )
+    k, _ = robust_lp.extract_weights(sol, model.layout)
+    assert doc["objective"] == pytest.approx(sol.objective, abs=1e-9)
+    np.testing.assert_allclose(doc["weights"], k, rtol=0, atol=1e-9)
 
 
 def test_solve_gamma_sweep(tmp_path):
@@ -231,6 +253,30 @@ def test_backtest_benchmarks(tmp_path):
     assert doc["status"] == "ok"
     assert doc["benchmark"] == "equal_weight"
     assert "cumulative_return" in doc
+
+
+def test_benchmark_sharpe_uses_run_basis(tmp_path):
+    # a nonzero risk-free rate and a non-daily year: the benchmark report
+    # must be scored on the same basis as backtest.json
+    config = write_config(
+        tmp_path, data={"risk_free_annual": 0.05, "periods_per_year": 52}
+    )
+    out = tmp_path / "out"
+    rc = run_cli(["backtest", "--config", config, "--benchmarks",
+                  "--no-timestamp", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "benchmark_equal_weight.json").read_text())
+    returns = data.append_risk_free(
+        data.compute_returns(data.interpolate_missing(data.load_prices(FIXTURE))),
+        0.05, 52,
+    )
+    path = backtest.benchmark_buy_and_hold(
+        returns, initial_cost_rate=0.001, start_period=60
+    )
+    rets = path.values[1:] / path.values[:-1] - 1.0
+    excess = rets - (1.05 ** (1.0 / 52) - 1.0)
+    manual = excess.mean() / rets.std(ddof=1) * np.sqrt(52)
+    assert doc["annualized_sharpe"] == pytest.approx(manual, rel=1e-12)
 
 
 def test_backtest_sweep_parallel_matches_serial(tmp_path, monkeypatch):

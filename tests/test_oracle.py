@@ -83,7 +83,7 @@ def test_duality_gap_small_at_optimum_and_grows_off_it(log_utility):
     scen, amb, con = oracle.random_small_instance(
         rng, cost_rate=0.0, gamma_choices=(0.3,)
     )
-    sol, fam, model = oracle._solve_robust(scen, amb, con, log_utility, 1e-7)
+    sol, _, _ = oracle._solve_robust(scen, amb, con, log_utility, 1e-7)
     gap = oracle.duality_gap(sol.weights, sol, scen, amb, log_utility)
     assert 0.0 <= gap <= 1e-6 + 1e-7
     # corrupt the inequality multipliers: weak duality still holds, so the

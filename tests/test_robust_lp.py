@@ -51,26 +51,24 @@ def test_kelly_single_asset(kelly_instance, log_utility):
 
 def test_row_count_matches_prediction(log_utility):
     rng = np.random.default_rng(2)
-    for holding in (False, True):
-        for decomposed in (False, True):
-            scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
-            if holding:
-                con = dataclasses.replace(
-                    con, holding_caps=np.full(scen.n, 0.8)
-                )
-            fam = small_family(log_utility, scen, con, 1e-4, 1e-5)
-            model = robust_lp.assemble(
-                scen, fam, amb, con, np.zeros(scen.n), decomposed=decomposed
-            )
-            expected = robust_lp.expected_row_count(
-                scen.m, scen.n, fam.counts, holding, decomposed
-            )
-            assert model.n_rows == expected
+    for holding in (False, True, False, True):
+        scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
+        if holding:
+            con = dataclasses.replace(con, holding_caps=np.full(scen.n, 0.8))
+        fam = small_family(log_utility, scen, con, 1e-4, 1e-5)
+        model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
+        m, n = scen.m, scen.n
+        L, R = fam.counts[0] + 1, fam.counts[1] + 1
+        # cuts m*L + R, link m, leverage 1, caps n, survival 1,
+        # turnover 2n, cost limit 1
+        expected = m * L + R + m + 1 + (n if holding else 0) + 1 + 2 * n + 1
+        assert model.n_rows == expected
 
 
 def test_decomposed_agrees_with_product(log_utility):
     # the shared-intercept split must be exact, not an approximation: 50
-    # random instances, objectives within 1e-9
+    # random instances against the product-form reference, objectives
+    # within 1e-9
     rng = np.random.default_rng(77)
     worst = 0.0
     for i in range(50):
@@ -78,8 +76,10 @@ def test_decomposed_agrees_with_product(log_utility):
         scen, amb, con = oracle.random_small_instance(rng, cost_rate=cost)
         k_prev = oracle._sample_feasible_weights(rng, scen, con) * 0.5
         fam = small_family(log_utility, scen, con, 1e-5, 1e-5)
-        mp = robust_lp.assemble(scen, fam, amb, con, k_prev, decomposed=False)
-        md = robust_lp.assemble(scen, fam, amb, con, k_prev, decomposed=True)
+        mp = oracle.assemble_product(scen, fam, amb, con, k_prev)
+        md = robust_lp.assemble(scen, fam, amb, con, k_prev)
+        m, L, R = scen.m, fam.a.size, fam.b.size
+        assert mp.n_rows - md.n_rows == m * L * R - (m * L + R)
         sp, sd = robust_lp.solve(mp), robust_lp.solve(md)
         assert sp.status == "optimal" and sd.status == "optimal"
         worst = max(worst, abs(sp.objective - sd.objective))
@@ -223,23 +223,39 @@ def test_extract_weights_diagnostics(log_utility):
     assert diag["leverage_usage"] <= 1.0 + 1e-9
 
 
-def test_recompute_objective_consistent(log_utility, kelly_instance):
+def test_assemble_refuses_intercepts_that_do_not_split(log_utility):
+    rng = np.random.default_rng(17)
+    scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
+    fam = small_family(log_utility, scen, con, 1e-4, 1e-5)
+    assert fam.a.size > 2 and fam.b.size > 2
+    gamma = fam.gamma.copy()
+    gamma[2, 1] += 1e-6
+    bad = dataclasses.replace(fam, gamma=gamma)
+    with pytest.raises(robust_lp.AssemblyError, match=r"\(l, r\) = \(2, 1\)"):
+        robust_lp.assemble(scen, bad, amb, con, np.zeros(scen.n))
+
+
+def test_solve_flags_a_point_that_violates_rows(log_utility, kelly_instance,
+                                                monkeypatch):
     scen, amb, con = kelly_instance
     fam = small_family(log_utility, scen, con, 1e-6, 1e-6)
     model = robust_lp.assemble(scen, fam, amb, con, np.zeros(1))
+    assert robust_lp.solve(model).residual <= 1e-9
+    real = robust_lp.linprog
+
+    def shifted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x = res.x.copy()
+        res.x[model.layout.w] += 1e-5  # every binding link row now fails
+        return res
+
+    monkeypatch.setattr(robust_lp, "linprog", shifted)
     sol = robust_lp.solve(model)
-    assert robust_lp.recompute_objective(sol, model.layout) == pytest.approx(
-        sol.objective, abs=1e-10
-    )
-
-
-def test_lp_text_dump(log_utility, kelly_instance):
-    scen, amb, con = kelly_instance
-    fam = small_family(log_utility, scen, con, 1e-4, 1e-4)
-    model = robust_lp.assemble(scen, fam, amb, con, np.zeros(1))
-    text = robust_lp.to_lp_text(model)
-    assert text.startswith("Maximize")
-    assert "Subject To" in text and text.rstrip().endswith("End")
+    assert sol.status == "numerical"
+    assert sol.residual == pytest.approx(1e-5, rel=1e-3)
+    assert sol.weights is None
+    with pytest.raises(SolutionStatusError):
+        robust_lp.extract_weights(sol, model.layout)
 
 
 def test_constraint_set_validation():
