@@ -23,7 +23,9 @@ class PolyhedralAmbiguitySet:
     """Probability polytope {p in simplex : A0 p = d0, A1 p <= d1}.
 
     gamma and p_hat are recorded when the set was built by from_gamma;
-    they enable closed-form worst-case evaluation in the oracles.
+    they enable closed-form worst-case evaluation in the oracles.  A
+    recorded p_hat that lies in the set proves it nonempty; without such
+    a member, a phase-1 LP checks that the set meets the simplex.
     """
 
     A0: np.ndarray
@@ -45,7 +47,8 @@ class PolyhedralAmbiguitySet:
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
-        self._certify_nonempty()
+        if self.p_hat is None or not contains(self, self.p_hat):
+            self._certify_nonempty()
 
     def _certify_nonempty(self):
         # phase-1 LP: any feasible p on the simplex will do

@@ -171,10 +171,6 @@ def run(config: BacktestConfig, data: ReturnMatrix):
     if T <= t0:
         raise ValueError("history too short for one training window plus a trade")
     cost_vector = np.full(n, config.cost_rate)
-    rf = data.risk_free_index
-    risky = np.ones(n, dtype=bool)
-    if rf is not None:
-        risky[rf] = False
 
     values = [1.0]
     k_prev = np.zeros(n)
@@ -190,11 +186,11 @@ def run(config: BacktestConfig, data: ReturnMatrix):
         k, diag = robust_lp.extract_weights(sol, model.layout)
         rebalances.append(t)
         weights.append(k.copy())
-        turnover.append(float(np.abs(k - k_prev).sum()))
-        costs_paid.append(float(np.abs(k - k_prev) @ cost_vector) * values[-1])
+        turnover.append(diag["turnover_l1"])
+        costs_paid.append(diag["realized_cost"] * values[-1])
         objectives.append(sol.objective)
         solve_times.append(sol.solve_time)
-        invested.append(float(k[risky].sum()))
+        invested.append(diag["invested_weight"])
         block_end = min(t + config.rebalance_every, T)
         for s in range(t, block_end):
             values.append(

@@ -150,7 +150,7 @@ def assemble_product(
 
     Reference for robust_lp.assemble: its split cut block is replaced by
     all m*L*R rows z_j - a_l K'x^j - b_r C'u <= gamma[l, r], which use the
-    intercept matrix as stored, and the split's scalar s is pinned to 0.
+    full intercept matrix fam.gamma, and the split's scalar s is pinned to 0.
     The remaining rows are shared.  The signature is that of
     robust_lp.assemble, so the reference can stand in for it.
     """
@@ -501,19 +501,11 @@ def verify_approximation(seed: int = 0, instances: int = 6, fault: bool = False)
         scen, amb, con = random_small_instance(rng, n_max=2, m_max=8)
         sol, _, fam = _solve_robust(scen, amb, con, u, budget)
         if fault:
-            fam = type(fam)(
-                a=fam.a,
-                b=fam.b,
-                gamma=-fam.gamma,
-                x_points=fam.x_points,
-                c_points=fam.c_points,
-                counts=fam.counts,
-                budget=fam.budget,
-            )
+            fam = replace(fam, gamma_x=-fam.gamma_x, gamma_c=-fam.gamma_c)
         # tangency: every plane touches f at its anchor
         for l, xl in enumerate(fam.x_points):
             for r, cr in enumerate(fam.c_points):
-                h = fam.a[l] * xl + fam.b[r] * cr + fam.gamma[l, r]
+                h = fam.a[l] * xl + fam.b[r] * cr + fam.gamma_x[l] + fam.gamma_c[r]
                 if abs(h - u.eval_f(xl, cr)) > 1e-12:
                     failures.append(
                         (t, "hyperplane tangency broken", float(h))

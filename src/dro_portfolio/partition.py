@@ -4,8 +4,11 @@ A concave separable utility f(x, c) = alpha * phi1(x) + beta * phi2(c) is
 approximated from above by tangent planes anchored at partition points of
 the x and c axes.  Partition points are spaced so that the approximation
 error on every interval equals the per-axis budget, which makes the
-partition minimal for that budget.  The module also certifies error on
-dense grids and reproduces the effect of removing a single tangent plane.
+partition minimal for that budget.  Because f is additively separable,
+every plane intercept splits into a return-leg part and a cost-leg part,
+and a family stores only those two vectors.  The module also certifies
+error on dense grids and reproduces the effect of removing a single
+tangent plane.
 """
 
 from __future__ import annotations
@@ -74,15 +77,27 @@ class Partition:
 
 @dataclass(frozen=True)
 class HyperplaneFamily:
-    """Tangent planes h_{l,r}(x, c) = a_l x + b_r c + gamma_{l,r}."""
+    """Tangent planes h_{l,r}(x, c) = a_l x + b_r c + gamma_x[l] + gamma_c[r].
+
+    The intercept of the plane anchored at (x_l, c_r) is the sum of the
+    return-leg part gamma_x[l] = alpha*phi1(x_l) - a_l x_l and the
+    cost-leg part gamma_c[r] = beta*phi2(c_r) - b_r c_r, so the L*R
+    planes are stored as two vectors of lengths L and R.
+    """
 
     a: np.ndarray
     b: np.ndarray
-    gamma: np.ndarray
+    gamma_x: np.ndarray
+    gamma_c: np.ndarray
     x_points: np.ndarray
     c_points: np.ndarray
     counts: tuple
     budget: ErrorBudget | None = None
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The L x R intercept matrix gamma_x[l] + gamma_c[r]."""
+        return self.gamma_x[:, None] + self.gamma_c[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +358,8 @@ def build_hyperplanes(
 ) -> HyperplaneFamily:
     """Tangent-plane coefficients for the partition pair.
 
-    a_l = alpha * phi1'(x_l), b_r = beta * phi2'(c_r), and gamma_{l,r}
-    makes each plane touch f at (x_l, c_r).
+    a_l = alpha * phi1'(x_l), b_r = beta * phi2'(c_r), and the intercept
+    parts gamma_x[l], gamma_c[r] make each plane touch f at (x_l, c_r).
     """
     if px.axis != "x" or pc.axis != "c":
         raise ValueError("expected an x partition and a c partition")
@@ -352,13 +367,11 @@ def build_hyperplanes(
     cs = pc.points
     a = u.alpha * u.phi1_prime(xs)
     b = u.beta * u.phi2_prime(cs)
-    ax_part = u.alpha * u.phi1(xs) - a * xs
-    bc_part = u.beta * u.phi2(cs) - b * cs
-    gamma = ax_part[:, None] + bc_part[None, :]
     return HyperplaneFamily(
         a=np.atleast_1d(a),
         b=np.atleast_1d(b),
-        gamma=gamma,
+        gamma_x=np.atleast_1d(u.alpha * u.phi1(xs) - a * xs),
+        gamma_c=np.atleast_1d(u.beta * u.phi2(cs) - b * cs),
         x_points=xs,
         c_points=cs,
         counts=(px.M - 1, pc.M - 1),
@@ -385,32 +398,29 @@ def certify_error(
 ) -> tuple:
     """Measured sup errors (per x axis, per c axis, joint 2-D).
 
-    The joint sup scans the full 2-D grid against the pointwise minimum of
-    every stored plane, without assuming the intercept matrix is separable,
-    so corrupted coefficients are caught.
+    sup_x and sup_c recompute the intercepts from the utility; the joint
+    sup uses the stored planes.  Their envelope min over (l, r) is the
+    sum of the per-axis envelopes, so the joint sup over the full 2-D grid
+    is exact at O((L + R) * grid) cost.  A corrupted stored coefficient
+    shows up as sup_joint != sup_x + sup_c once it moves the grid sup.
     """
     if grid < 1000:
         raise ValueError("grid must be at least 1000 points per axis")
     xs = np.linspace(fam.x_points[0], fam.x_points[-1], grid)
     cs = np.linspace(fam.c_points[0], fam.c_points[-1], grid)
-    ax_lines = fam.a[:, None] * xs[None, :] + (
-        u.alpha * u.phi1(fam.x_points) - fam.a * fam.x_points
-    )[:, None]
-    sup_x = float(np.max(ax_lines.min(axis=0) - u.alpha * u.phi1(xs)))
-    bc_lines = fam.b[:, None] * cs[None, :] + (
-        u.beta * u.phi2(fam.c_points) - fam.b * fam.c_points
-    )[:, None]
-    sup_c = float(np.max(bc_lines.min(axis=0) - u.beta * u.phi2(cs)))
+    fx = u.alpha * u.phi1(xs)
+    fc = u.beta * u.phi2(cs)
+    ax = fam.a[:, None] * xs[None, :]
+    bc = fam.b[:, None] * cs[None, :]
+    gx = u.alpha * u.phi1(fam.x_points) - fam.a * fam.x_points
+    gc = u.beta * u.phi2(fam.c_points) - fam.b * fam.c_points
+    sup_x = float(np.max((ax + gx[:, None]).min(axis=0) - fx))
+    sup_c = float(np.max((bc + gc[:, None]).min(axis=0) - fc))
 
-    f_grid = u.alpha * u.phi1(xs)[:, None] + u.beta * u.phi2(cs)[None, :]
-    min_h = np.full((grid, grid), np.inf)
-    tmp = np.empty_like(min_h)
-    for l in range(fam.a.size):
-        ax = fam.a[l] * xs
-        for r in range(fam.b.size):
-            np.add(ax[:, None], fam.b[r] * cs[None, :] + fam.gamma[l, r], out=tmp)
-            np.minimum(min_h, tmp, out=min_h)
-    sup_joint = float(np.max(np.abs(f_grid - min_h)))
+    dx = (ax + fam.gamma_x[:, None]).min(axis=0) - fx
+    dc = (bc + fam.gamma_c[:, None]).min(axis=0) - fc
+    # max over the grid of |dx[i] + dc[j]|
+    sup_joint = float(max(dx.max() + dc.max(), -(dx.min() + dc.min())))
     return sup_x, sup_c, sup_joint
 
 

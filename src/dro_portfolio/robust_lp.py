@@ -175,10 +175,9 @@ def assemble(
     """Build the rebalance LP.
 
     The cost leg gets one shared epigraph scalar s, so the m*L*R tangent
-    planes become m*L return-leg cuts plus R cost-leg cuts.  This is exact
-    because the intercepts of a separable utility split as
-    gamma[l, r] = A_l + B_r; an intercept matrix that does not split is
-    refused with an AssemblyError naming the offending (l, r) entry.
+    planes become m*L return-leg cuts with right-hand sides fam.gamma_x
+    plus R cost-leg cuts with right-hand sides fam.gamma_c.  This is exact
+    because each plane's intercept is gamma_x[l] + gamma_c[r].
     """
     X = scen.scenarios
     m, n = X.shape
@@ -193,21 +192,7 @@ def assemble(
 
     a = fam.a
     b = fam.b
-    gamma = fam.gamma
     L, R = a.size, b.size
-    # pick the split anchored at gamma[0, 0]: A_l = gamma[l, 0],
-    # B_r = gamma[0, r] - gamma[0, 0]; a built family misses it only by
-    # the rounding of its stored intercepts
-    A_l = gamma[:, 0]
-    B_c = gamma[0, :] - gamma[0, 0]
-    defect = np.abs(gamma - A_l[:, None] - B_c[None, :])
-    worst = np.unravel_index(np.argmax(defect), defect.shape)
-    if defect[worst] > 1e-12 * np.abs(gamma).max():
-        raise AssemblyError(
-            f"plane intercepts do not split at (l, r) = ({worst[0]}, {worst[1]}):"
-            f" |gamma[l, r] - gamma[l, 0] - gamma[0, r] + gamma[0, 0]|"
-            f" = {defect[worst]:.3e}"
-        )
     m0, m1 = amb.n_eq, amb.n_ineq
     layout = DecisionLayout.build(n, m, m0, m1)
     nv = layout.nv
@@ -225,7 +210,7 @@ def assemble(
         sections[name] = (row_at, row_at + block.shape[0])
         row_at += block.shape[0]
 
-    # return-leg cuts (j, l): z_j - s - a_l K'x^j <= A_l
+    # return-leg cuts (j, l): z_j - s - a_l K'x^j <= gamma_x[l]
     rows_x = m * L
     A_hx = np.zeros((rows_x, nv))
     k_coef = (a[None, :, None] * X[:, None, :]).reshape(rows_x, n)
@@ -234,12 +219,12 @@ def assemble(
     z_rows = np.repeat(np.arange(m), L)
     A_hx[np.arange(rows_x), layout.z.start + z_rows] = 1.0
     A_hx[:, layout.s] = -1.0
-    push(A_hx, np.tile(A_l, m), "cuts_x")
-    # cost-leg cuts (r): s - b_r C'u <= B_r
+    push(A_hx, np.tile(fam.gamma_x, m), "cuts_x")
+    # cost-leg cuts (r): s - b_r C'u <= gamma_c[r]
     A_hc = np.zeros((R, nv))
     A_hc[:, layout.u] = -(b[:, None] * C[None, :])
     A_hc[:, layout.s] = 1.0
-    push(A_hc, B_c, "cuts_c")
+    push(A_hc, fam.gamma_c, "cuts_c")
 
     # link rows: w - z_j - (A0'nu + A1'lam)_j <= 0
     A_link = np.zeros((m, nv))

@@ -4,6 +4,7 @@ import pytest
 
 import dro_portfolio as dp
 from dro_portfolio import InfeasibleAmbiguityError, PolyhedralAmbiguitySet
+from dro_portfolio import ambiguity
 
 
 def test_gamma_set_matrices():
@@ -89,3 +90,47 @@ def test_custom_polyhedron_membership():
     assert dp.contains(amb, np.array([0.3, 0.3, 0.4]))
     assert not dp.contains(amb, np.array([0.2, 0.4, 0.4]))
     assert amb.n_eq == 1 and amb.n_ineq == 1
+
+
+def test_from_gamma_needs_no_phase_one_lp(monkeypatch):
+    # p_hat is a member of its own contamination set, which proves it nonempty
+    def no_lp(*args, **kwargs):
+        raise AssertionError("phase-1 LP run for a set with a member")
+
+    monkeypatch.setattr(ambiguity, "linprog", no_lp)
+    for gamma in (0.0, 0.3, 1.0):
+        amb = dp.from_gamma(np.array([0.5, 0.3, 0.2]), gamma)
+        assert dp.contains(amb, amb.p_hat)
+
+
+def test_recorded_point_outside_the_set_still_runs_the_lp(monkeypatch):
+    calls = []
+    real = ambiguity.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ambiguity, "linprog", counted)
+    # p_1 >= 0.75 is nonempty, but the recorded p_hat is not in it
+    amb = PolyhedralAmbiguitySet(
+        A0=np.zeros((0, 2)),
+        d0=np.zeros(0),
+        A1=np.array([[-1.0, 0.0]]),
+        d1=np.array([-0.75]),
+        m=2,
+        p_hat=np.array([0.5, 0.5]),
+    )
+    assert len(calls) == 1
+    assert not dp.contains(amb, amb.p_hat)
+    # an empty set has no member to record, so the LP must refuse it
+    with pytest.raises(InfeasibleAmbiguityError):
+        PolyhedralAmbiguitySet(
+            A0=np.array([[1.0, 1.0], [1.0, 1.0]]),
+            d0=np.array([1.0, 0.5]),
+            A1=np.zeros((0, 2)),
+            d1=np.zeros(0),
+            m=2,
+            p_hat=np.array([0.5, 0.5]),
+        )
+    assert len(calls) == 2

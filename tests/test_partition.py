@@ -3,6 +3,7 @@
 Step-size goldens are recomputed here with scipy.optimize.brentq on the
 defining root equations, independently of the package's own bisection.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -137,6 +138,44 @@ def test_separability_random_budgets(log_utility):
         assert abs(sup_joint - (sup_x + sup_c)) <= 1e-9
 
 
+def joint_sup_by_scan(u, fam, grid):
+    """Reference joint sup: the min of all L*R stored planes on the 2-D grid."""
+    xs = np.linspace(fam.x_points[0], fam.x_points[-1], grid)
+    cs = np.linspace(fam.c_points[0], fam.c_points[-1], grid)
+    f_grid = u.alpha * u.phi1(xs)[:, None] + u.beta * u.phi2(cs)[None, :]
+    gamma = fam.gamma
+    min_h = np.full((grid, grid), np.inf)
+    for l in range(fam.a.size):
+        for r in range(fam.b.size):
+            plane = fam.a[l] * xs[:, None] + fam.b[r] * cs[None, :] + gamma[l, r]
+            np.minimum(min_h, plane, out=min_h)
+    return float(np.max(np.abs(f_grid - min_h)))
+
+
+def test_joint_sup_matches_the_plane_scan(log_utility):
+    log_fam = dp.build_family(
+        log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(1e-4, 1e-5)
+    )
+    crra = SeparableUtility("crra", theta=2.5)
+    crra_fam = dp.build_family(crra, -0.2, 0.3, 0.0, 0.02, dp.ErrorBudget(5e-5, 2e-5))
+    # a raised plane shows only where its crossings fall near grid points,
+    # which on this grid holds for plane 7 (6.5e-7 above the axis sups)
+    shifted_x = log_fam.gamma_x.copy()
+    shifted_x[7] += 1e-6
+    shifted = dataclasses.replace(log_fam, gamma_x=shifted_x)
+    negated = dataclasses.replace(
+        log_fam, gamma_x=-log_fam.gamma_x, gamma_c=-log_fam.gamma_c
+    )
+    for u, fam in ((log_utility, log_fam), (crra, crra_fam),
+                   (log_utility, shifted), (log_utility, negated)):
+        assert fam.a.size > 2 and fam.b.size > 2
+        _, _, sup_joint = dp.certify_error(u, fam, grid=1000)
+        assert sup_joint == pytest.approx(joint_sup_by_scan(u, fam, 1000), abs=1e-12)
+    # the shifted stored plane is caught against the recomputed axes
+    sup_x, sup_c, sup_joint = dp.certify_error(log_utility, shifted, grid=1000)
+    assert abs(sup_joint - (sup_x + sup_c)) > 1e-7
+
+
 def test_removal_interior_quadruples_error(log_utility):
     fam = dp.build_family(
         log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(1e-5, 1e-5)
@@ -198,6 +237,7 @@ def test_degenerate_cost_axis():
     u = SeparableUtility("log")
     fam = dp.build_family(u, -0.1, 0.1, 0.0, 0.0, dp.ErrorBudget(1e-5, 1e-5))
     assert len(fam.c_points) == 1
+    assert fam.gamma_c.shape == (1,)
     assert fam.gamma.shape[1] == 1
 
 

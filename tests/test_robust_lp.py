@@ -223,18 +223,6 @@ def test_extract_weights_diagnostics(log_utility):
     assert diag["leverage_usage"] <= 1.0 + 1e-9
 
 
-def test_assemble_refuses_intercepts_that_do_not_split(log_utility):
-    rng = np.random.default_rng(17)
-    scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
-    fam = small_family(log_utility, scen, con, 1e-4, 1e-5)
-    assert fam.a.size > 2 and fam.b.size > 2
-    gamma = fam.gamma.copy()
-    gamma[2, 1] += 1e-6
-    bad = dataclasses.replace(fam, gamma=gamma)
-    with pytest.raises(robust_lp.AssemblyError, match=r"\(l, r\) = \(2, 1\)"):
-        robust_lp.assemble(scen, bad, amb, con, np.zeros(scen.n))
-
-
 def test_solve_flags_a_point_that_violates_rows(log_utility, kelly_instance,
                                                 monkeypatch):
     scen, amb, con = kelly_instance
