@@ -52,6 +52,7 @@ from .partition import (
     next_point_log,
     next_point_log_c,
     removal_experiment,
+    tangency_residual,
 )
 from .robust_lp import (
     AssemblyError,

@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 from . import robust_lp
 from .ambiguity import PolyhedralAmbiguitySet, from_gamma
 from .data import ScenarioSet
-from .partition import ErrorBudget, HyperplaneFamily
+from .partition import ErrorBudget, HyperplaneFamily, tangency_residual
 # bound at import, so that assemble_product keeps working while it stands
 # in for robust_lp.assemble
 from .robust_lp import TradingConstraintSet, assemble as _assemble
@@ -196,6 +196,18 @@ def _axis_values(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(lo_i, hi_i + 1) * step
 
 
+def _row_min(a: np.ndarray) -> np.ndarray:
+    """Row minima of a (points, m) array, one column at a time.
+
+    Exact like a.min(axis=1), and faster for the short scenario axes of
+    the grid scan.
+    """
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.minimum(out, a[:, j], out=out)
+    return out
+
+
 def exact_small_solve(
     scen: ScenarioSet,
     amb: PolyhedralAmbiguitySet,
@@ -207,7 +219,9 @@ def exact_small_solve(
     """Maximize the exact worst-case objective by dense grid search.
 
     Only for n <= 3; refuses outright when the grid would be too large.
-    The returned value is recomputed at the winning point through the
+    The grid is never built whole: it is scanned in row-major slices of
+    about 2M / m points, and the first strict maximum wins.  The returned
+    value is recomputed at the winning point through the
     worst-case LP, so the scan and the LP route must agree.
     """
     n = scen.n
@@ -233,37 +247,40 @@ def exact_small_solve(
             "general polytopes need one LP per grid point; grid too large"
         )
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    K = np.stack([g.ravel() for g in mesh], axis=1)
-    feas = np.abs(K).sum(axis=1) <= lev + 1e-12
-    down = np.abs(np.minimum(0.0, scen.x_min))
-    up = np.maximum(0.0, scen.x_max)
-    feas &= (
-        np.maximum(K, 0.0) @ down + np.maximum(-K, 0.0) @ up
-    ) <= 1.0 + 1e-12
-    costs = np.abs(K - k_prev[None, :]) @ con.cost_vector
-    feas &= costs <= con.turnover_cost_limit + 1e-12
-    K = K[feas]
-    costs = costs[feas]
-    if K.shape[0] == 0:
-        raise ValueError("no feasible grid point")
-
-    best_val = -math.inf
-    best_k = None
+    shape = tuple(ax.size for ax in axes)
+    down = np.abs(np.minimum(0.0, scen.x_min))[:, None]
+    up = np.maximum(0.0, scen.x_max)[:, None]
+    cost_vector = con.cost_vector[:, None]
     Xt = scen.scenarios.T
     chunk = max(1, int(2_000_000 // max(1, scen.m)))
-    for s in range(0, K.shape[0], chunk):
-        Kc = K[s : s + chunk]
-        cc = costs[s : s + chunk]
-        rets = Kc @ Xt
-        valid = (rets > -1.0).all(axis=1) & (cc < 1.0)
+    best_val = -math.inf
+    best_k = None
+    any_feasible = False
+    # walk the grid in row-major index ranges; each slice is held as an
+    # (n, points) array, so the sums over assets add contiguous rows
+    for s in range(0, total, chunk):
+        idx = np.unravel_index(np.arange(s, min(s + chunk, total)), shape)
+        G = np.stack([ax[i] for ax, i in zip(axes, idx)])
+        feas = np.abs(G).sum(axis=0) <= lev + 1e-12
+        exposure = (np.maximum(G, 0.0) * down).sum(axis=0)
+        exposure += (np.maximum(-G, 0.0) * up).sum(axis=0)
+        feas &= exposure <= 1.0 + 1e-12
+        costs = (np.abs(G - k_prev[:, None]) * cost_vector).sum(axis=0)
+        feas &= costs <= con.turnover_cost_limit + 1e-12
+        if not np.any(feas):
+            continue
+        any_feasible = True
+        K = G[:, feas]
+        cc = costs[feas]
+        rets = K.T @ Xt
+        valid = (_row_min(rets) > -1.0) & (cc < 1.0)
         if not np.any(valid):
             continue
-        vals = np.full(Kc.shape[0], -np.inf)
-        rv = rets[valid]
-        q = u.alpha * u.phi1(rv) + u.beta * u.phi2(cc[valid])[:, None]
+        if not np.all(valid):
+            K, cc, rets = K[:, valid], cc[valid], rets[valid]
+        q = u.alpha * u.phi1(rets) + u.beta * u.phi2(cc)[:, None]
         if amb.gamma is not None:
-            inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * q.min(axis=1)
+            inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * _row_min(q)
         else:
             inner = np.array(
                 [
@@ -271,11 +288,12 @@ def exact_small_solve(
                     for t in range(q.shape[0])
                 ]
             )
-        vals[valid] = inner
-        t = int(np.argmax(vals))
-        if vals[t] > best_val:
-            best_val = float(vals[t])
-            best_k = Kc[t].copy()
+        t = int(np.argmax(inner))
+        if inner[t] > best_val:
+            best_val = float(inner[t])
+            best_k = K[:, t].copy()
+    if not any_feasible:
+        raise ValueError("no feasible grid point")
     if best_k is None:
         raise ValueError("every feasible grid point left the utility domain")
     value, _ = inner_worst_case(best_k, k_prev, scen, amb, u, con.cost_vector)
@@ -503,17 +521,9 @@ def verify_approximation(seed: int = 0, instances: int = 6, fault: bool = False)
         if fault:
             fam = replace(fam, gamma_x=-fam.gamma_x, gamma_c=-fam.gamma_c)
         # tangency: every plane touches f at its anchor
-        for l, xl in enumerate(fam.x_points):
-            for r, cr in enumerate(fam.c_points):
-                h = fam.a[l] * xl + fam.b[r] * cr + fam.gamma_x[l] + fam.gamma_c[r]
-                if abs(h - u.eval_f(xl, cr)) > 1e-12:
-                    failures.append(
-                        (t, "hyperplane tangency broken", float(h))
-                    )
-                    break
-            else:
-                continue
-            break
+        residual = tangency_residual(u, fam)
+        if residual > 1e-12:
+            failures.append((t, "hyperplane tangency broken", residual))
         if sol.status != "optimal":
             failures.append((t, "solve status", sol.status))
             continue

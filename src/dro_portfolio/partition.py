@@ -424,6 +424,18 @@ def certify_error(
     return sup_x, sup_c, sup_joint
 
 
+def tangency_residual(u: SeparableUtility, fam: HyperplaneFamily) -> float:
+    """Largest |h_{l,r}(x_l, c_r) - f(x_l, c_r)| over the stored planes.
+
+    Plane (l, r) misses f at its own anchor by rx[l] + rc[r], the sum of
+    a return-leg and a cost-leg residual, so the max over all L*R anchors
+    needs only the extremes of the two vectors: O(L + R) and no grid.
+    """
+    rx = fam.a * fam.x_points + fam.gamma_x - u.alpha * u.phi1(fam.x_points)
+    rc = fam.b * fam.c_points + fam.gamma_c - u.beta * u.phi2(fam.c_points)
+    return float(max(rx.max() + rc.max(), -(rx.min() + rc.min())))
+
+
 def removal_experiment(
     u: SeparableUtility, fam: HyperplaneFamily, which: int, axis: str
 ) -> float:

@@ -1,6 +1,8 @@
 """Brute-force reference solvers and the checks built on them."""
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +95,61 @@ def test_duality_gap_small_at_optimum_and_grows_off_it(log_utility):
     assert gap_bad > gap + 1e-4
 
 
+def exact_small_solve_by_meshgrid(scen, amb, con, k_prev, u, grid_step=1e-3):
+    """Reference scan: the whole grid as one (points x n) meshgrid array."""
+    k_prev = np.asarray(k_prev, dtype=float)
+    lev = con.leverage
+    axes = []
+    for i in range(scen.n):
+        lo = -lev if con.allow_short else 0.0
+        hi = lev
+        if con.holding_caps is not None:
+            lo = max(lo, -float(con.holding_caps[i]) if con.allow_short else 0.0)
+            hi = min(hi, float(con.holding_caps[i]))
+        axes.append(oracle._axis_values(lo, hi, grid_step))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    K = np.stack([g.ravel() for g in mesh], axis=1)
+    feas = np.abs(K).sum(axis=1) <= lev + 1e-12
+    down = np.abs(np.minimum(0.0, scen.x_min))
+    up = np.maximum(0.0, scen.x_max)
+    feas &= (
+        np.maximum(K, 0.0) @ down + np.maximum(-K, 0.0) @ up
+    ) <= 1.0 + 1e-12
+    costs = np.abs(K - k_prev[None, :]) @ con.cost_vector
+    feas &= costs <= con.turnover_cost_limit + 1e-12
+    K = K[feas]
+    costs = costs[feas]
+    if K.shape[0] == 0:
+        raise ValueError("no feasible grid point")
+    best_val = -math.inf
+    best_k = None
+    Xt = scen.scenarios.T
+    chunk = max(1, int(2_000_000 // max(1, scen.m)))
+    for s in range(0, K.shape[0], chunk):
+        Kc = K[s : s + chunk]
+        cc = costs[s : s + chunk]
+        rets = Kc @ Xt
+        valid = (rets > -1.0).all(axis=1) & (cc < 1.0)
+        if not np.any(valid):
+            continue
+        vals = np.full(Kc.shape[0], -np.inf)
+        rv = rets[valid]
+        q = u.alpha * u.phi1(rv) + u.beta * u.phi2(cc[valid])[:, None]
+        if amb.gamma is not None:
+            inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * q.min(axis=1)
+        else:
+            inner = np.array([oracle._polytope_lp(amb, row).fun for row in q])
+        vals[valid] = inner
+        t = int(np.argmax(vals))
+        if vals[t] > best_val:
+            best_val = float(vals[t])
+            best_k = Kc[t].copy()
+    if best_k is None:
+        raise ValueError("every feasible grid point left the utility domain")
+    value, _ = oracle.inner_worst_case(best_k, k_prev, scen, amb, u, con.cost_vector)
+    return best_k, value
+
+
 def test_exact_small_solve_recovers_kelly(kelly_instance, log_utility):
     scen, amb, con = kelly_instance
     ks, val = oracle.exact_small_solve(scen, amb, con, np.zeros(1), log_utility)
@@ -138,6 +195,145 @@ def test_exact_small_solve_complexity_guard(log_utility):
     )
     with pytest.raises(ComplexityError):
         oracle.exact_small_solve(scen, amb, con, np.zeros(4), log_utility)
+
+
+def _small_grid_instances():
+    """48 instances over n, shorting, holding caps, costs and gamma.
+
+    n = 1 draws returns with a strong drift and bounds widened by 0.1,
+    so the uncapped optimum sits on the survival bound.  At n = 2 every
+    grid is capped to keep the dense reference cheap; the long-only caps
+    (0.6, 0.5) let the leverage bound of 1 bind.
+    """
+    rng = np.random.default_rng(20)
+    caps = {
+        (1, True): (None, np.array([2.4])),
+        (1, False): (None, np.array([2.4])),
+        (2, True): (np.array([0.2, 0.2]), np.array([0.15, 0.3])),
+        (2, False): (np.array([0.6, 0.5]), np.array([0.2, 0.2])),
+    }
+    for n, short, cost, gamma in itertools.product(
+        (1, 2), (True, False), (0.0, 0.002), (0.0, 0.3, 1.0)
+    ):
+        for cap in caps[n, short]:
+            m = int(rng.integers(2, 21))
+            if n == 1:
+                X = rng.uniform(-0.05, 0.2, size=(m, n))
+                widen = 0.1
+            else:
+                X = rng.uniform(-0.15, 0.18, size=(m, n))
+                widen = 0.0
+            scen = dp.ScenarioSet(
+                scenarios=X,
+                probabilities=np.full(m, 1.0 / m),
+                x_min=X.min(axis=0) - widen,
+                x_max=X.max(axis=0) + widen,
+            )
+            lev = 8.0 if n == 1 else 1.0
+            k_prev = np.zeros(n)
+            if cost:
+                k_prev = rng.uniform(-0.1 if short else 0.0, 0.1, size=n)
+            con = robust_lp.TradingConstraintSet.uniform(
+                n, leverage=lev, cost_rate=cost, turnover_cost_limit=cost * lev,
+                holding_caps=cap, allow_short=short,
+            )
+            yield scen, dp.from_gamma(scen.probabilities, gamma), con, k_prev
+
+
+def test_exact_small_solve_matches_the_meshgrid_scan(kelly_instance, log_utility):
+    scen, amb, _ = kelly_instance
+    # leverage 25 puts K = 20 on the grid: on the survival bound, with a
+    # scenario return of exactly -1 that the domain mask must drop
+    edge = robust_lp.TradingConstraintSet.uniform(
+        1, leverage=25.0, cost_rate=0.0, turnover_cost_limit=0.0
+    )
+    instances = [*_small_grid_instances(), (scen, amb, edge, np.zeros(1))]
+    for scen, amb, con, k_prev in instances:
+        k, value = oracle.exact_small_solve(scen, amb, con, k_prev, log_utility)
+        k_ref, value_ref = exact_small_solve_by_meshgrid(
+            scen, amb, con, k_prev, log_utility
+        )
+        assert np.array_equal(k, k_ref) and value == value_ref
+    assert len(instances) == 49
+
+
+@pytest.mark.parametrize("m", [2, 8, 20])
+def test_exact_small_solve_peak_memory(m, log_utility):
+    # 3001 x 3001 grid: built whole with its temporaries it takes 627 MiB
+    rng = np.random.default_rng(m)
+    X = rng.uniform(-0.15, 0.18, size=(m, 2))
+    scen = dp.ScenarioSet(
+        scenarios=X,
+        probabilities=np.full(m, 1.0 / m),
+        x_min=X.min(axis=0),
+        x_max=X.max(axis=0),
+    )
+    amb = dp.from_gamma(scen.probabilities, 0.3)
+    con = robust_lp.TradingConstraintSet.uniform(
+        2, leverage=1.5, cost_rate=0.0, turnover_cost_limit=0.0
+    )
+    tracemalloc.start()
+    try:
+        oracle.exact_small_solve(scen, amb, con, np.zeros(2), log_utility)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+
+
+def test_exact_small_solve_grid_cap(log_utility):
+    X = np.array([[0.1, -0.05, 0.02], [-0.04, 0.08, 0.01]])
+    scen = dp.ScenarioSet(
+        scenarios=X,
+        probabilities=np.full(2, 0.5),
+        x_min=X.min(axis=0),
+        x_max=X.max(axis=0),
+    )
+    amb = dp.from_gamma(scen.probabilities, 0.0)
+    con = robust_lp.TradingConstraintSet.uniform(
+        3, leverage=1.5, cost_rate=0.0, turnover_cost_limit=0.0
+    )
+    tracemalloc.start()
+    try:
+        # 3001^3 points: refused from the axis sizes alone
+        with pytest.raises(ComplexityError, match="exceeds the cap"):
+            oracle.exact_small_solve(scen, amb, con, np.zeros(3), log_utility)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_exact_small_solve_per_point_lp_matches_closed_form(log_utility):
+    X = np.array([[0.12], [-0.10], [0.09], [-0.04], [0.06]])
+    m = X.shape[0]
+    scen = dp.ScenarioSet(
+        scenarios=X,
+        probabilities=np.full(m, 1.0 / m),
+        x_min=X.min(axis=0),
+        x_max=X.max(axis=0),
+    )
+    gamma = 0.2
+    closed = dp.from_gamma(scen.probabilities, gamma)
+    # the same polytope without gamma or p_hat: one LP per grid point
+    general = dp.PolyhedralAmbiguitySet(
+        A0=np.zeros((0, m)), d0=np.zeros(0),
+        A1=-np.eye(m), d1=-(1.0 - gamma) * scen.probabilities, m=m,
+    )
+    assert general.gamma is None
+    con = robust_lp.TradingConstraintSet.uniform(
+        1, leverage=1.0, cost_rate=0.0, turnover_cost_limit=0.0,
+        allow_short=False,
+    )
+    k_lp, value_lp = oracle.exact_small_solve(
+        scen, general, con, np.zeros(1), log_utility
+    )
+    k_cf, value_cf = oracle.exact_small_solve(
+        scen, closed, con, np.zeros(1), log_utility
+    )
+    assert 0.0 < k_cf[0] < 1.0  # interior, so the scan decides it
+    assert np.array_equal(k_lp, k_cf)
+    assert value_lp == pytest.approx(value_cf, abs=1e-12)
 
 
 def test_exact_small_solve_rejects_coarse_grid(kelly_instance, log_utility):

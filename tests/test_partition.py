@@ -176,6 +176,40 @@ def test_joint_sup_matches_the_plane_scan(log_utility):
     assert abs(sup_joint - (sup_x + sup_c)) > 1e-7
 
 
+def tangency_by_loop(u, fam):
+    """Reference residual: every stored plane against f at its own anchor."""
+    worst = 0.0
+    for l, xl in enumerate(fam.x_points):
+        for r, cr in enumerate(fam.c_points):
+            h = fam.a[l] * xl + fam.b[r] * cr + fam.gamma_x[l] + fam.gamma_c[r]
+            worst = max(worst, abs(h - u.eval_f(xl, cr)))
+    return worst
+
+
+def test_tangency_residual_flags_every_raised_intercept(log_utility):
+    fam = dp.build_family(
+        log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(1e-4, 1e-5)
+    )
+    assert fam.gamma_x.size == 16 and fam.gamma_c.size > 2
+    assert dp.tangency_residual(log_utility, fam) <= 1e-12
+    negated = dataclasses.replace(
+        fam, gamma_x=-fam.gamma_x, gamma_c=-fam.gamma_c
+    )
+    assert dp.tangency_residual(log_utility, negated) == pytest.approx(
+        tangency_by_loop(log_utility, negated), abs=1e-15
+    )
+    # the grid comparison in certify_error misses half of these raises;
+    # the residual sees each one at its full size
+    for l in range(fam.gamma_x.size):
+        raised = fam.gamma_x.copy()
+        raised[l] += 1e-6
+        bad = dataclasses.replace(fam, gamma_x=raised)
+        residual = dp.tangency_residual(log_utility, bad)
+        assert residual > 1e-12
+        assert residual == pytest.approx(1e-6, abs=1e-15)
+        assert residual == pytest.approx(tangency_by_loop(log_utility, bad), abs=1e-15)
+
+
 def test_removal_interior_quadruples_error(log_utility):
     fam = dp.build_family(
         log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(1e-5, 1e-5)
