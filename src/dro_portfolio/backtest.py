@@ -39,7 +39,6 @@ class BacktestConfig:
     utility: SeparableUtility
     risk_free_annual: float = 0.0
     periods_per_year: int = 252
-    holding_caps: np.ndarray | None = None
     allow_short: bool = True
 
     def __post_init__(self):
@@ -80,7 +79,6 @@ class BacktestConfig:
             leverage=self.leverage,
             cost_rate=self.cost_rate,
             turnover_cost_limit=self.turnover_cost_limit,
-            holding_caps=self.holding_caps,
             allow_short=self.allow_short,
         )
 

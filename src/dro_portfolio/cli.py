@@ -8,20 +8,21 @@ codes: 0 success, 1 solve or property failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import backtest as bt
 from . import oracle, robust_lp
-from .ambiguity import from_gamma
-from .data import append_risk_free, build_scenario_set, compute_returns, \
-    interpolate_missing, load_prices
+from .data import append_risk_free, compute_returns, interpolate_missing, \
+    load_prices
 from .partition import ErrorBudget, build_family, certify_error, \
     removal_experiment
 from .utility import SeparableUtility
@@ -78,6 +79,15 @@ def _load_config(args) -> dict:
             raise UsageError(f"config is not valid JSON: {exc}") from None
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Report a config value of the wrong type or range as a usage error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config value: {exc}") from None
+
+
 def _load_returns(data_cfg: dict):
     path = data_cfg.get("csv")
     if not path:
@@ -88,9 +98,9 @@ def _load_returns(data_cfg: dict):
     returns = compute_returns(series)
     rf = data_cfg.get("risk_free_annual")
     if rf is not None:
-        returns = append_risk_free(
-            returns, float(rf), int(data_cfg.get("periods_per_year", 252))
-        )
+        with _config_values():
+            rf, per_year = float(rf), int(data_cfg.get("periods_per_year", 252))
+        returns = append_risk_free(returns, rf, per_year)
     return returns
 
 
@@ -104,15 +114,11 @@ def _sweep_values(spec: str):
     return name.strip(), [float(v) for v in vals]
 
 
-def _sweep_workers(count: int) -> int:
-    env = os.environ.get("DRO_PORTFOLIO_THREADS")
-    if env is None:
-        return 1
-    try:
-        cap = int(env)
-    except ValueError:
-        raise UsageError("DRO_PORTFOLIO_THREADS must be an integer") from None
-    return max(1, min(cap, count))
+def _sweep(fn, values) -> list:
+    """fn over the sweep values, up to one thread per CPU, in input order."""
+    workers = min(len(values), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, values))
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +129,18 @@ def _sweep_workers(count: int) -> int:
 def cmd_partition(args) -> int:
     cfg = _load_config(args)
     pc = cfg.get("partition", {})
-    eps_x = args.eps_x if args.eps_x is not None else pc.get("eps_x")
-    eps_c = args.eps_c if args.eps_c is not None else pc.get("eps_c")
-    if eps_x is None or eps_c is None or eps_x <= 0 or eps_c <= 0:
-        raise UsageError("partition needs positive eps_x and eps_c budgets")
+    eps_x = args.eps_x if args.eps_x is not None else pc.get("eps_x", 0.0)
+    eps_c = args.eps_c if args.eps_c is not None else pc.get("eps_c", 0.0)
     x_lo = args.x_min if args.x_min is not None else pc.get("x_min", -0.2)
     x_hi = args.x_max if args.x_max is not None else pc.get("x_max", 0.2)
     c_hi = args.c_max if args.c_max is not None else pc.get("c_max", 0.02)
-    utility = SeparableUtility.from_config(cfg.get("utility", {"kind": "log"}))
-    budget = ErrorBudget(float(eps_x), float(eps_c))
-    fam = build_family(utility, float(x_lo), float(x_hi), 0.0, float(c_hi), budget)
+    with _config_values():
+        eps_x, eps_c, x_lo, x_hi, c_hi = map(float, (eps_x, eps_c, x_lo, x_hi, c_hi))
+        utility = SeparableUtility.from_config(cfg.get("utility", {"kind": "log"}))
+    if eps_x <= 0 or eps_c <= 0:
+        raise UsageError("partition needs positive eps_x and eps_c budgets")
+    budget = ErrorBudget(eps_x, eps_c)
+    fam = build_family(utility, x_lo, x_hi, 0.0, c_hi, budget)
     sup_x, sup_c, sup_joint = certify_error(utility, fam, grid=2000)
     removal_table = []
     for axis, pts in (("x", fam.x_points), ("c", fam.c_points)):
@@ -167,26 +175,15 @@ def cmd_partition(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_once(config: bt.BacktestConfig, returns, gamma: float) -> dict:
-    window = config.train_window
-    T = returns.returns.shape[1]
-    if T < window:
-        raise UsageError(f"need at least {window} return periods, have {T}")
-    scen = build_scenario_set(returns, (T - window, T))
-    sol, model, _ = robust_lp.rebalance(
-        scen,
-        from_gamma(scen.probabilities, gamma),
-        config.trading_constraints(scen.n),
-        config.utility,
-        config.budget,
-        np.zeros(scen.n),
-    )
+def _solve_report(config: bt.BacktestConfig, returns) -> dict:
+    n, T = returns.returns.shape
+    sol, model, _ = bt.solve_rebalance(config, returns, T, np.zeros(n))
     if sol.status != "optimal":
-        return {"status": sol.status, "gamma": gamma}
+        return {"status": sol.status, "gamma": config.gamma}
     k, diag = robust_lp.extract_weights(sol, model.layout)
     return {
         "status": sol.status,
-        "gamma": gamma,
+        "gamma": config.gamma,
         "objective": sol.objective,
         "weights": k.tolist(),
         "turnover": diag["turnover_l1"],
@@ -199,25 +196,25 @@ def _solve_once(config: bt.BacktestConfig, returns, gamma: float) -> dict:
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     returns = _load_returns(cfg.get("data", {}))
-    config = bt.BacktestConfig.from_config(cfg)
-    gammas = [config.gamma]
-    sweep_name = None
+    with _config_values():
+        config = bt.BacktestConfig.from_config(cfg)
+    configs = [config]
     if args.sweep:
         sweep_name, values = _sweep_values(args.sweep)
         if sweep_name != "gamma":
             raise UsageError("solve only sweeps gamma")
-        gammas = values
-    workers = _sweep_workers(len(gammas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda g: _solve_once(config, returns, g), gammas))
-    else:
-        results = [_solve_once(config, returns, g) for g in gammas]
+        configs = [replace(config, gamma=g) for g in values]
+    T = returns.returns.shape[1]
+    if T < config.train_window:
+        raise UsageError(
+            f"need at least {config.train_window} return periods, have {T}"
+        )
+    results = _sweep(lambda c: _solve_report(c, returns), configs)
     status = 0
-    for g, res in zip(gammas, results):
-        if res.get("status") != "optimal":
+    for res in results:
+        if res["status"] != "optimal":
             status = FAILURE
-        name = f"solve_gamma_{g:g}.json" if sweep_name else "solve.json"
+        name = f"solve_gamma_{res['gamma']:g}.json" if args.sweep else "solve.json"
         _emit_json(res, args, name)
     return status
 
@@ -225,17 +222,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # backtest
 # ---------------------------------------------------------------------------
-
-
-def _backtest_once(cfg: dict, returns, cost_rate: float | None):
-    cfg = json.loads(json.dumps(cfg))  # deep copy; sweeps mutate
-    if cost_rate is not None:
-        cons = cfg.setdefault("constraints", {})
-        cons["cost_rate"] = cost_rate
-        cons["c_max"] = cost_rate * 2.0 * float(cons.get("leverage", 1.5))
-    config = bt.BacktestConfig.from_config(cfg)
-    path, report = bt.run(config, returns)
-    return config, path, report
 
 
 def _path_rows(path: bt.AccountPath):
@@ -253,69 +239,63 @@ def _path_rows(path: bt.AccountPath):
 def cmd_backtest(args) -> int:
     cfg = _load_config(args)
     returns = _load_returns(cfg.get("data", {}))
-    sweeps = [None]
-    sweep_name = None
+    with _config_values():
+        config = bt.BacktestConfig.from_config(cfg)
+    configs = [config]
     if args.sweep:
         sweep_name, values = _sweep_values(args.sweep)
         if sweep_name != "cost_rate":
             raise UsageError("backtest only sweeps cost_rate")
-        sweeps = values
-    workers = _sweep_workers(len(sweeps))
+        configs = [
+            replace(config, cost_rate=rate,
+                    turnover_cost_limit=rate * 2.0 * config.leverage)
+            for rate in values
+        ]
 
-    def one(rate):
+    def one(c):
         try:
-            return _backtest_once(cfg, returns, rate)
+            return bt.run(c, returns)
         except bt.BacktestError as exc:
             return exc
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, sweeps))
-    else:
-        outcomes = [one(rate) for rate in sweeps]
-
     status = 0
     series = []
-    for rate, outcome in zip(sweeps, outcomes):
-        tag = "" if rate is None else f"_c_{rate:g}"
+    for c, outcome in zip(configs, _sweep(one, configs)):
+        tag = f"_c_{c.cost_rate:g}" if args.sweep else ""
         if isinstance(outcome, bt.BacktestError):
             _emit_json({"status": "failed", "error": str(outcome)}, args,
                        f"backtest{tag}.json")
             status = FAILURE
             continue
-        config, path, report = outcome
+        path, report = outcome
         doc = {"status": "ok", "config": {
-            "cost_rate": config.cost_rate,
-            "c_max": config.turnover_cost_limit,
-            "gamma": config.gamma,
-            "leverage": config.leverage,
-            "train_window": config.train_window,
-            "rebalance_every": config.rebalance_every,
+            "cost_rate": c.cost_rate,
+            "c_max": c.turnover_cost_limit,
+            "gamma": c.gamma,
+            "leverage": c.leverage,
+            "train_window": c.train_window,
+            "rebalance_every": c.rebalance_every,
         }}
         doc.update(report.to_dict())
         _emit_json(doc, args, f"backtest{tag}.json")
         if args.out:
             rows = _path_rows(path)
-            text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
+            text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
             _atomic_write(os.path.join(args.out, f"path{tag}.csv"), text)
-        series.append((rate if rate is not None else config.cost_rate,
-                       report.cumulative_return))
+        series.append((c.cost_rate, report.cumulative_return))
         if args.benchmarks and args.out:
-            for name, asset in (("equal_weight", None),):
-                bpath = bt.benchmark_buy_and_hold(
-                    returns,
-                    asset=asset,
-                    initial_cost_rate=config.cost_rate,
-                    start_period=config.train_window,
-                )
-                brep = bt.metrics(bpath, config.periods_per_year,
-                                  config.risk_free_annual)
-                bdoc = {"status": "ok", "benchmark": name}
-                bdoc.update(brep.to_dict())
-                _emit_json(bdoc, args, f"benchmark_{name}{tag}.json")
-    if sweep_name and args.out:
+            bpath = bt.benchmark_buy_and_hold(
+                returns,
+                initial_cost_rate=c.cost_rate,
+                start_period=c.train_window,
+            )
+            brep = bt.metrics(bpath, c.periods_per_year, c.risk_free_annual)
+            bdoc = {"status": "ok", "benchmark": "equal_weight"}
+            bdoc.update(brep.to_dict())
+            _emit_json(bdoc, args, f"benchmark_equal_weight{tag}.json")
+    if args.sweep and args.out:
         rows = [("cost_rate", "cumulative_return")]
-        rows += [(f"{r:g}", f"{c:.12g}") for r, c in series]
+        rows += [(f"{r:g}", f"{v:.12g}") for r, v in series]
         text = "\n".join(",".join(row) for row in rows) + "\n"
         _atomic_write(os.path.join(args.out, "return_vs_cost.csv"), text)
     return status

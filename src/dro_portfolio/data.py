@@ -51,10 +51,6 @@ class PriceSeries:
         if prices.shape != (len(self.tickers), len(self.dates)):
             raise ValueError("price matrix shape does not match labels")
 
-    @property
-    def missing(self) -> np.ndarray:
-        return np.isnan(self.prices)
-
 
 @dataclass(frozen=True)
 class ReturnMatrix:

@@ -551,9 +551,6 @@ def run_all(seed: int = 0, fault: bool = False, suites=None) -> dict:
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     results = {name: registry[name]() for name in suites}
-    for name, rep in results.items():
-        if isinstance(rep, ProbeReport):
-            results[name] = rep.to_dict()
     passed = all(r["passed"] for r in results.values())
     return {"passed": passed, "suites": results}
 

@@ -293,15 +293,10 @@ def assemble(
     )
 
     provenance = {
-        "counts": (L - 1, R - 1),
-        "n": n,
-        "m": m,
         "cost_vector": C.copy(),
         "k_prev": k_prev.copy(),
         "leverage": con.leverage,
         "risk_free_index": scen.risk_free_index,
-        "d0": amb.d0.copy(),
-        "d1": amb.d1.copy(),
     }
     return RobustLpModel(
         A_ub=A_ub,

@@ -133,10 +133,11 @@ class SeparableUtility:
     @classmethod
     def from_config(cls, cfg: dict) -> "SeparableUtility":
         """Build from a JSON config fragment like {"kind": "log", "alpha": 1.0}."""
+        delta, theta = cfg.get("delta"), cfg.get("theta")
         return cls(
             kind=cfg.get("kind", "log"),
             alpha=float(cfg.get("alpha", 1.0)),
             beta=float(cfg.get("beta", 1.0)),
-            delta=cfg.get("delta"),
-            theta=cfg.get("theta"),
+            delta=None if delta is None else float(delta),
+            theta=None if theta is None else float(theta),
         )

@@ -183,6 +183,13 @@ def test_solve_rejects_other_sweeps(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_solve_needs_a_full_training_window(tmp_path, capsys):
+    config = write_config(tmp_path, backtest={"train_window": 1000})
+    rc = run_cli(["solve", "--config", config])
+    assert rc == 2
+    assert "need at least 1000 return periods" in capsys.readouterr().err
+
+
 def test_solve_requires_data_section(tmp_path, capsys):
     config = write_config(tmp_path, data=None)
     rc = run_cli(["solve", "--config", config])
@@ -279,30 +286,31 @@ def test_benchmark_sharpe_uses_run_basis(tmp_path):
     assert doc["annualized_sharpe"] == pytest.approx(manual, rel=1e-12)
 
 
-def test_backtest_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command, sweep",
+    [("solve", "gamma=0,0.5"), ("backtest", "cost_rate=0,0.005")],
+    ids=["solve", "backtest"],
+)
+def test_sweep_matches_across_worker_counts(tmp_path, monkeypatch, command, sweep):
     config = write_config(tmp_path)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    args = ["backtest", "--config", config, "--sweep", "cost_rate=0,0.005",
-            "--no-timestamp"]
-    monkeypatch.delenv("DRO_PORTFOLIO_THREADS", raising=False)
-    assert run_cli(args + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("DRO_PORTFOLIO_THREADS", "2")
-    assert run_cli(args + ["--out", str(parallel)]) == 0
-    assert (serial / "return_vs_cost.csv").read_bytes() == \
-        (parallel / "return_vs_cost.csv").read_bytes()
-    for name in ("backtest_c_0.json", "backtest_c_0.005.json"):
-        a = json.loads((serial / name).read_text())
-        b = json.loads((parallel / name).read_text())
-        a.pop("avg_solve_time"), b.pop("avg_solve_time")  # wall clock varies
-        assert a == b
-
-
-def test_threads_env_must_be_integer(tmp_path, monkeypatch, capsys):
-    config = write_config(tmp_path)
-    monkeypatch.setenv("DRO_PORTFOLIO_THREADS", "many")
-    rc = run_cli(["backtest", "--config", config, "--sweep", "cost_rate=0,0.005"])
-    assert rc == 2
-    assert "DRO_PORTFOLIO_THREADS" in capsys.readouterr().err
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus_{cpus}"
+        assert run_cli([command, "--config", config, "--sweep", sweep,
+                        "--no-timestamp", "--out", str(out)]) == 0
+        outs.append(out)
+    serial, parallel = outs
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(parallel))
+    assert len([n for n in names if n.endswith(".json")]) == 2
+    for name in names:
+        a, b = (serial / name).read_text(), (parallel / name).read_text()
+        if name.endswith(".json"):
+            a, b = json.loads(a), json.loads(b)
+            for timing in ("solve_time_ms", "avg_solve_time"):  # wall clock
+                a.pop(timing, None), b.pop(timing, None)
+        assert a == b, name
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +368,23 @@ def test_malformed_config(tmp_path, capsys):
     rc = run_cli(["solve", "--config", str(bad)])
     assert rc == 2
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("partition", {"partition": {"eps_x": "small", "eps_c": 1e-3}}),
+        ("solve", {"constraints": {"leverage": None}}),
+        ("solve", {"data": {"periods_per_year": None}}),
+        ("backtest", {"utility": {"kind": "power", "delta": [0.5]}}),
+    ],
+    ids=["partition-eps_x", "leverage", "periods_per_year", "utility-delta"],
+)
+def test_config_value_of_wrong_type(tmp_path, capsys, command, overrides):
+    config = write_config(tmp_path, **overrides)
+    rc = run_cli([command, "--config", config])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad config value")
 
 
 def test_missing_data_file(tmp_path, capsys):
