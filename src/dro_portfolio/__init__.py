@@ -19,7 +19,6 @@ from .backtest import (
     account_step,
     benchmark_buy_and_hold,
     metrics,
-    replay_weights,
     run,
 )
 from .data import (

@@ -21,7 +21,7 @@ from .utility import SeparableUtility
 
 
 class BacktestError(RuntimeError):
-    """A rebalance could not be solved; carries the failing period."""
+    """A rebalance could not be solved; names the period and the LP row."""
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,22 @@ def solve_rebalance(
     return sol, model, scen
 
 
+def failure_message(t: int, sol: robust_lp.LpSolution,
+                    model: robust_lp.RobustLpModel) -> str:
+    """Why the rebalance at period t has no optimal solution.
+
+    Names the status and, for an infeasible LP, the row of the
+    infeasibility certificate and the row section it falls in.
+    """
+    text = f"rebalance at period {t} failed with status {sol.status}"
+    row = sol.certificate_row
+    if row is not None:
+        section = next(name for name, (lo, hi) in model.row_sections.items()
+                       if lo <= row < hi)
+        text += f"; certificate row {row} in section {section}"
+    return text
+
+
 def run(config: BacktestConfig, data: ReturnMatrix):
     """Walk the sliding-window protocol over the whole return history."""
     T = data.returns.shape[1]
@@ -178,9 +194,7 @@ def run(config: BacktestConfig, data: ReturnMatrix):
     while t < T:
         sol, model, scen = solve_rebalance(config, data, t, k_prev)
         if sol.status != "optimal":
-            raise BacktestError(
-                f"rebalance at period {t} failed with status {sol.status}"
-            )
+            raise BacktestError(failure_message(t, sol, model))
         k, diag = robust_lp.extract_weights(sol, model.layout)
         rebalances.append(t)
         weights.append(k.copy())
@@ -209,29 +223,6 @@ def run(config: BacktestConfig, data: ReturnMatrix):
     )
     report = metrics(path, config.periods_per_year, config.risk_free_annual)
     return path, report
-
-
-def replay_weights(
-    data: ReturnMatrix,
-    weights,
-    rebalance_periods,
-    cost_vector,
-    start_period: int,
-) -> np.ndarray:
-    """Account path for a fixed weight schedule under a given cost vector."""
-    values = [1.0]
-    k_prev = np.zeros(data.returns.shape[0])
-    T = data.returns.shape[1]
-    schedule = dict(zip(rebalance_periods, weights))
-    k = None
-    for s in range(start_period, T):
-        if s in schedule:
-            k = np.asarray(schedule[s], dtype=float)
-        values.append(
-            account_step(values[-1], k, k_prev, data.returns[:, s], cost_vector)
-        )
-        k_prev = k
-    return np.array(values)
 
 
 def metrics(

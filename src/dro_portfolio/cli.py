@@ -74,9 +74,15 @@ def _load_config(args) -> dict:
         raise UsageError(f"config file not found: {args.config}")
     with open(args.config, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise UsageError(f"config section {name!r} must be a JSON object")
+    return cfg
 
 
 @contextlib.contextmanager
@@ -179,7 +185,8 @@ def _solve_report(config: bt.BacktestConfig, returns) -> dict:
     n, T = returns.returns.shape
     sol, model, _ = bt.solve_rebalance(config, returns, T, np.zeros(n))
     if sol.status != "optimal":
-        return {"status": sol.status, "gamma": config.gamma}
+        return {"status": sol.status, "gamma": config.gamma,
+                "error": bt.failure_message(T, sol, model)}
     k, diag = robust_lp.extract_weights(sol, model.layout)
     return {
         "status": sol.status,

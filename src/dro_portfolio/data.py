@@ -10,7 +10,6 @@ empirical weights.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 
@@ -101,14 +100,6 @@ class ScenarioSet:
     @property
     def n(self) -> int:
         return int(self.scenarios.shape[1])
-
-    def to_json(self) -> str:
-        doc = {
-            "tickers": list(self.tickers),
-            "scenarios": self.scenarios.tolist(),
-            "probabilities": self.probabilities.tolist(),
-        }
-        return json.dumps(doc)
 
 
 def load_prices(path) -> PriceSeries:

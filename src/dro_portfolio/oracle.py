@@ -151,7 +151,8 @@ def assemble_product(
     Reference for robust_lp.assemble: its split cut block is replaced by
     all m*L*R rows z_j - a_l K'x^j - b_r C'u <= gamma[l, r], which use the
     full intercept matrix fam.gamma, and the split's scalar s is pinned to 0.
-    The remaining rows are shared.  The signature is that of
+    The cuts read K directly, not the lifted returns y; the equality rows
+    defining y and the remaining rows are shared.  The signature is that of
     robust_lp.assemble, so the reference can stand in for it.
     """
     model = _assemble(scen, fam, amb, con, k_prev)

@@ -91,7 +91,6 @@ class HyperplaneFamily:
     gamma_c: np.ndarray
     x_points: np.ndarray
     c_points: np.ndarray
-    counts: tuple
     budget: ErrorBudget | None = None
 
     @property
@@ -374,7 +373,6 @@ def build_hyperplanes(
         gamma_c=np.atleast_1d(u.beta * u.phi2(cs) - b * cs),
         x_points=xs,
         c_points=cs,
-        counts=(px.M - 1, pc.M - 1),
         budget=budget,
     )
 

@@ -2,11 +2,14 @@
 
 One rebalance solves
 
-    max over (K, u, Z, W, nu, lam) of  W - d0'nu - d1'lam
+    max over (K, u, Z, W, nu, lam, s, y) of  W - d0'nu - d1'lam
 
 subject to trading constraints on K = K+ - K-, turnover magnitudes u,
 tangent-plane cuts linking Z to the approximated utility at each
 scenario, and the link rows W <= Z_j + (A0'nu + A1'lam)_j with lam >= 0.
+The scenario returns y_j = x^j'K are lifted into variables of their own
+(Ben-Tal & Nemirovski, Lectures on Modern Convex Optimization, 2001),
+so each cut row touches three variables however many assets there are.
 The maximizing K is the robust portfolio for the polyhedral family of
 scenario probabilities.  ``rebalance`` runs the whole step: approximation
 box, tangent family, assembly and solve.
@@ -97,6 +100,7 @@ class DecisionLayout:
     nu: slice
     lam: slice
     s: int
+    y: slice
     nv: int
 
     @classmethod
@@ -110,15 +114,18 @@ class DecisionLayout:
         nu = slice(o, o + m0); o += m0
         lam = slice(o, o + m1); o += m1
         s = o; o += 1
-        return cls(kp=kp, km=km, u=u, z=z, w=w, nu=nu, lam=lam, s=s, nv=o)
+        y = slice(o, o + m); o += m
+        return cls(kp=kp, km=km, u=u, z=z, w=w, nu=nu, lam=lam, s=s, y=y, nv=o)
 
 
 @dataclass(frozen=True)
 class RobustLpModel:
-    """Sparse inequality system, bounds, and maximization objective."""
+    """Sparse inequality and equality rows, bounds, maximization objective."""
 
     A_ub: sp.csr_matrix
     b_ub: np.ndarray
+    A_eq: sp.csr_matrix
+    b_eq: np.ndarray
     bounds: tuple
     c_max_objective: np.ndarray
     layout: DecisionLayout
@@ -165,6 +172,20 @@ def _check_prev_feasible(con: TradingConstraintSet, scen: ScenarioSet, k_prev):
         raise AssemblyError("previous weights violate the survival bound")
 
 
+def _rows(blocks, nv: int) -> sp.csr_matrix:
+    """Stack (cols, vals) blocks into one CSR matrix.
+
+    Row i of a block stores vals[i] at the columns cols[i].
+    """
+    width = np.concatenate([np.full(c.shape[0], c.shape[1]) for c, _ in blocks])
+    indptr = np.concatenate([[0], np.cumsum(width)])
+    return sp.csr_matrix(
+        (np.concatenate([v.ravel() for _, v in blocks]),
+         np.concatenate([c.ravel() for c, _ in blocks]), indptr),
+        shape=(width.size, nv),
+    )
+
+
 def assemble(
     scen: ScenarioSet,
     fam: HyperplaneFamily,
@@ -174,10 +195,12 @@ def assemble(
 ) -> RobustLpModel:
     """Build the rebalance LP.
 
+    The m equality rows y_j - x^j'K = 0 hold each scenario return once.
     The cost leg gets one shared epigraph scalar s, so the m*L*R tangent
-    planes become m*L return-leg cuts with right-hand sides fam.gamma_x
-    plus R cost-leg cuts with right-hand sides fam.gamma_c.  This is exact
-    because each plane's intercept is gamma_x[l] + gamma_c[r].
+    planes become m*L return-leg cuts z_j - s - a_l y_j <= gamma_x[l]
+    with 3 entries each, plus R cost-leg cuts with right-hand sides
+    fam.gamma_c.  This is exact because each plane's intercept is
+    gamma_x[l] + gamma_c[r].
     """
     X = scen.scenarios
     m, n = X.shape
@@ -197,81 +220,75 @@ def assemble(
     layout = DecisionLayout.build(n, m, m0, m1)
     nv = layout.nv
     C = con.cost_vector
+    kp, km, u, z, nu, lam, y = (
+        np.arange(g.start, g.stop)
+        for g in (layout.kp, layout.km, layout.u, layout.z, layout.nu,
+                  layout.lam, layout.y)
+    )
+    k_cols = np.concatenate([kp, km])
+
+    def each(cols, rows):
+        return np.broadcast_to(cols, (rows, cols.size))
+
+    # lifted scenario returns: y_j - x^j'(K+ - K-) = 0
+    A_eq = _rows([(np.column_stack([each(k_cols, m), y]),
+                   np.column_stack([-X, X, np.ones(m)]))], nv)
 
     blocks = []
     rhs = []
     sections = {}
     row_at = 0
 
-    def push(block, rvec, name):
+    def push(cols, vals, rvec, name):
         nonlocal row_at
-        blocks.append(block)
+        blocks.append((cols, vals))
         rhs.append(rvec)
-        sections[name] = (row_at, row_at + block.shape[0])
-        row_at += block.shape[0]
+        sections[name] = (row_at, row_at + cols.shape[0])
+        row_at += cols.shape[0]
 
-    # return-leg cuts (j, l): z_j - s - a_l K'x^j <= gamma_x[l]
-    rows_x = m * L
-    A_hx = np.zeros((rows_x, nv))
-    k_coef = (a[None, :, None] * X[:, None, :]).reshape(rows_x, n)
-    A_hx[:, layout.kp] = -k_coef
-    A_hx[:, layout.km] = k_coef
+    # return-leg cuts (j, l): z_j - s - a_l y_j <= gamma_x[l]
     z_rows = np.repeat(np.arange(m), L)
-    A_hx[np.arange(rows_x), layout.z.start + z_rows] = 1.0
-    A_hx[:, layout.s] = -1.0
-    push(A_hx, np.tile(fam.gamma_x, m), "cuts_x")
+    push(np.column_stack([z[z_rows], np.full(m * L, layout.s), y[z_rows]]),
+         np.column_stack([np.ones(m * L), -np.ones(m * L), -np.tile(a, m)]),
+         np.tile(fam.gamma_x, m), "cuts_x")
     # cost-leg cuts (r): s - b_r C'u <= gamma_c[r]
-    A_hc = np.zeros((R, nv))
-    A_hc[:, layout.u] = -(b[:, None] * C[None, :])
-    A_hc[:, layout.s] = 1.0
-    push(A_hc, fam.gamma_c, "cuts_c")
+    push(np.column_stack([each(u, R), np.full(R, layout.s)]),
+         np.column_stack([-(b[:, None] * C[None, :]), np.ones(R)]),
+         fam.gamma_c, "cuts_c")
 
     # link rows: w - z_j - (A0'nu + A1'lam)_j <= 0
-    A_link = np.zeros((m, nv))
-    A_link[:, layout.w] = 1.0
-    A_link[np.arange(m), layout.z.start + np.arange(m)] = -1.0
-    if m0:
-        A_link[:, layout.nu] = -amb.A0.T
-    if m1:
-        A_link[:, layout.lam] = -amb.A1.T
-    push(A_link, np.zeros(m), "link")
+    push(np.column_stack([z, np.full(m, layout.w), each(nu, m), each(lam, m)]),
+         np.column_stack([-np.ones(m), np.ones(m), -amb.A0.T, -amb.A1.T]),
+         np.zeros(m), "link")
 
     # leverage: sum(kp + km) <= L
-    A_lev = np.zeros((1, nv))
-    A_lev[0, layout.kp] = 1.0
-    A_lev[0, layout.km] = 1.0
-    push(A_lev, np.array([con.leverage]), "leverage")
+    push(k_cols[None, :], np.ones((1, 2 * n)), np.array([con.leverage]),
+         "leverage")
 
     if con.holding_caps is not None:
-        A_cap = np.zeros((n, nv))
-        A_cap[np.arange(n), layout.kp.start + np.arange(n)] = 1.0
-        A_cap[np.arange(n), layout.km.start + np.arange(n)] = 1.0
-        push(A_cap, con.holding_caps.astype(float), "holding")
+        push(np.column_stack([kp, km]), np.ones((n, 2)),
+             con.holding_caps.astype(float), "holding")
 
     # survival: worst joint drawdown cannot wipe the account
-    A_srv = np.zeros((1, nv))
-    A_srv[0, layout.kp] = np.abs(np.minimum(0.0, scen.x_min))
-    A_srv[0, layout.km] = np.maximum(0.0, scen.x_max)
-    push(A_srv, np.array([1.0]), "survival")
+    push(k_cols[None, :],
+         np.concatenate([np.abs(np.minimum(0.0, scen.x_min)),
+                         np.maximum(0.0, scen.x_max)])[None, :],
+         np.array([1.0]), "survival")
 
     # turnover epigraph: +-(K - K_prev) <= u
-    A_tp = np.zeros((n, nv))
-    A_tp[np.arange(n), layout.kp.start + np.arange(n)] = 1.0
-    A_tp[np.arange(n), layout.km.start + np.arange(n)] = -1.0
-    A_tp[np.arange(n), layout.u.start + np.arange(n)] = -1.0
-    push(A_tp, k_prev.astype(float), "turnover_pos")
-    A_tn = np.zeros((n, nv))
-    A_tn[np.arange(n), layout.kp.start + np.arange(n)] = -1.0
-    A_tn[np.arange(n), layout.km.start + np.arange(n)] = 1.0
-    A_tn[np.arange(n), layout.u.start + np.arange(n)] = -1.0
-    push(A_tn, -k_prev.astype(float), "turnover_neg")
+    turnover = np.column_stack([kp, km, u])
+    push(turnover, each(np.array([1.0, -1.0, -1.0]), n), k_prev.astype(float),
+         "turnover_pos")
+    push(turnover, each(np.array([-1.0, 1.0, -1.0]), n), -k_prev.astype(float),
+         "turnover_neg")
 
     # cost limit: C'u <= c_max
-    A_cl = np.zeros((1, nv))
-    A_cl[0, layout.u] = C
-    push(A_cl, np.array([con.turnover_cost_limit]), "cost_limit")
+    push(u[None, :], C[None, :], np.array([con.turnover_cost_limit]),
+         "cost_limit")
 
-    A_ub = sp.csr_matrix(np.vstack(blocks))
+    A_ub = _rows(blocks, nv)
+    # zero costs, zero drawdowns and the zeros of A0, A1 are not stored
+    A_ub.eliminate_zeros()
     b_ub = np.concatenate(rhs)
 
     c_obj = np.zeros(nv)
@@ -290,6 +307,7 @@ def assemble(
         + [(None, None)] * m0
         + [(0.0, None)] * m1
         + [(None, None)]
+        + [(None, None)] * m
     )
 
     provenance = {
@@ -301,6 +319,8 @@ def assemble(
     return RobustLpModel(
         A_ub=A_ub,
         b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=np.zeros(m),
         bounds=tuple(bounds),
         c_max_objective=c_obj,
         layout=layout,
@@ -315,13 +335,16 @@ def solve(model: RobustLpModel) -> LpSolution:
     The status is "optimal", "infeasible" (with the row of an elastic
     infeasibility certificate), "unbounded" or "numerical".  "numerical"
     covers both a HiGHS failure and a returned point whose worst row
-    violation, kept in ``residual``, exceeds _RESIDUAL_TOL.
+    violation, kept in ``residual``, exceeds _RESIDUAL_TOL; an equality
+    row counts its violation in either direction.
     """
     t0 = time.perf_counter()
     res = linprog(
         c=-model.c_max_objective,
         A_ub=model.A_ub,
         b_ub=model.b_ub,
+        A_eq=model.A_eq,
+        b_eq=model.b_eq,
         bounds=list(model.bounds),
         method="highs",
     )
@@ -349,7 +372,8 @@ def solve(model: RobustLpModel) -> LpSolution:
         return failed
     x = res.x
     lay = model.layout
-    residual = float(max(0.0, np.max(model.A_ub @ x - model.b_ub, initial=0.0)))
+    residual = float(max(np.max(model.A_ub @ x - model.b_ub, initial=0.0),
+                         np.max(np.abs(model.A_eq @ x - model.b_eq), initial=0.0)))
     if residual > _RESIDUAL_TOL:
         return replace(failed, residual=residual)
     weights = x[lay.kp] - x[lay.km]
@@ -369,14 +393,21 @@ def solve(model: RobustLpModel) -> LpSolution:
 
 
 def _diagnose_infeasible(model: RobustLpModel) -> int | None:
-    """Elastic relaxation; the first row needing slack indexes the conflict."""
+    """Elastic relaxation; the first row needing slack indexes the conflict.
+
+    Only the inequality rows get slack: the equality rows define the
+    free lifted returns y and can always be met.
+    """
     n_rows = model.n_rows
     nv = model.layout.nv
     A = sp.hstack([model.A_ub, -sp.eye(n_rows, format="csr")], format="csr")
+    A_eq = sp.hstack([model.A_eq, sp.csr_matrix((model.A_eq.shape[0], n_rows))],
+                     format="csr")
     c = np.concatenate([np.zeros(nv), np.ones(n_rows)])
     bounds = list(model.bounds) + [(0.0, None)] * n_rows
     res = linprog(
-        c=c, A_ub=A, b_ub=model.b_ub, bounds=bounds, method="highs"
+        c=c, A_ub=A, b_ub=model.b_ub, A_eq=A_eq, b_eq=model.b_eq,
+        bounds=bounds, method="highs",
     )
     if res.status != 0:
         return None

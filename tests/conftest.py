@@ -1,4 +1,5 @@
 """Shared fixtures: the bundled two-regime market and small solved instances."""
+import dataclasses
 import os
 
 import numpy as np
@@ -53,3 +54,10 @@ def small_family(u, scen, con, budget_x=1e-6, budget_c=1e-6):
     return dp.build_family(
         u, x_lo, x_hi, 0.0, c_hi, dp.ErrorBudget(budget_x, budget_c)
     )
+
+
+def with_contradictory_leverage(model):
+    """The model with its leverage row turned into sum(K+ + K-) <= -1."""
+    b = model.b_ub.copy()
+    b[model.row_sections["leverage"][0]] = -1.0
+    return dataclasses.replace(model, b_ub=b)

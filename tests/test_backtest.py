@@ -4,6 +4,8 @@ import pytest
 
 from dro_portfolio import backtest, data as data_mod, oracle, robust_lp
 
+from conftest import with_contradictory_leverage
+
 
 def constant_market(r=0.002, n=2, T=120):
     returns = np.full((n, T), r)
@@ -77,28 +79,28 @@ def test_deterministic_repeat_runs(two_regime_returns, log_utility):
         np.testing.assert_array_equal(w1, w2)
 
 
-def test_replay_reproduces_run(two_regime_returns, log_utility):
+def test_infeasible_rebalance_names_period_row_and_section(
+        two_regime_returns, log_utility, monkeypatch):
+    real = robust_lp.assemble
+    monkeypatch.setattr(robust_lp, "assemble",
+                        lambda *a: with_contradictory_leverage(real(*a)))
     cfg = backtest.BacktestConfig(
-        train_window=60,
-        rebalance_every=40,
-        leverage=1.5,
-        cost_rate=0.002,
-        turnover_cost_limit=0.02,
-        gamma=0.5,
-        eps_x=1e-5,
-        eps_c=1e-5,
+        train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,
+        turnover_cost_limit=0.02, gamma=0.25, eps_x=1e-3, eps_c=1e-5,
         utility=log_utility,
     )
-    path, _ = backtest.run(cfg, two_regime_returns)
     n = two_regime_returns.returns.shape[0]
-    values = backtest.replay_weights(
-        two_regime_returns,
-        path.weights,
-        path.rebalance_periods,
-        np.full(n, cfg.cost_rate),
-        path.start_period,
+    sol, model, _ = backtest.solve_rebalance(cfg, two_regime_returns, 60,
+                                             np.zeros(n))
+    lo, hi = model.row_sections["leverage"]
+    assert sol.status == "infeasible"
+    assert lo <= sol.certificate_row < hi
+    with pytest.raises(backtest.BacktestError) as err:
+        backtest.run(cfg, two_regime_returns)
+    assert str(err.value) == (
+        "rebalance at period 60 failed with status infeasible; "
+        f"certificate row {lo} in section leverage"
     )
-    np.testing.assert_allclose(values, path.values, atol=1e-14)
 
 
 def test_cost_charged_once_per_block(log_utility):

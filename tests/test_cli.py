@@ -18,6 +18,8 @@ from dro_portfolio.ambiguity import from_gamma
 from dro_portfolio.partition import ErrorBudget
 from dro_portfolio.utility import SeparableUtility
 
+from conftest import with_contradictory_leverage
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "two_regime.csv")
 
 
@@ -161,6 +163,23 @@ def test_solve_report(tmp_path):
     k, _ = robust_lp.extract_weights(sol, model.layout)
     assert doc["objective"] == pytest.approx(sol.objective, abs=1e-9)
     np.testing.assert_allclose(doc["weights"], k, rtol=0, atol=1e-9)
+
+
+def test_infeasible_solve_names_period_row_and_section(tmp_path, monkeypatch):
+    real = robust_lp.assemble
+    monkeypatch.setattr(robust_lp, "assemble",
+                        lambda *a: with_contradictory_leverage(real(*a)))
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    rc = run_cli(["solve", "--config", config, "--no-timestamp",
+                  "--out", str(out)])
+    assert rc == 1
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["status"] == "infeasible"
+    # 420 return periods: the rebalance trades at period 420
+    assert doc["error"].startswith(
+        "rebalance at period 420 failed with status infeasible; certificate row ")
+    assert doc["error"].endswith(" in section leverage")
 
 
 def test_solve_gamma_sweep(tmp_path):
@@ -385,6 +404,17 @@ def test_config_value_of_wrong_type(tmp_path, capsys, command, overrides):
     rc = run_cli([command, "--config", config])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: bad config value")
+
+
+@pytest.mark.parametrize("document", ["[]", '{"constraints": []}'],
+                         ids=["top-level-list", "section-list"])
+def test_config_sections_must_be_objects(tmp_path, capsys, document):
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    for command in ("solve", "backtest", "partition"):
+        rc = run_cli([command, "--config", str(bad)])
+        assert rc == 2
+        assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_missing_data_file(tmp_path, capsys):

@@ -1,5 +1,4 @@
 """CSV ingestion, interpolation, return computation, scenario construction."""
-import json
 import math
 
 import numpy as np
@@ -123,20 +122,6 @@ def test_build_scenario_set_window(tmp_path):
     np.testing.assert_allclose(scen.scenarios, returns[:, 3:8].T)
     np.testing.assert_allclose(scen.x_min, returns[:, 3:8].min(axis=1))
     np.testing.assert_allclose(scen.x_max, returns[:, 3:8].max(axis=1))
-
-
-def test_scenario_set_round_trips_through_json():
-    X = np.array([[0.01, -0.02], [0.03, 0.005]])
-    scen = dp.ScenarioSet(
-        scenarios=X,
-        probabilities=np.array([0.5, 0.5]),
-        x_min=X.min(axis=0),
-        x_max=X.max(axis=0),
-        tickers=("A", "B"),
-    )
-    blob = json.loads(scen.to_json())
-    np.testing.assert_allclose(np.array(blob["scenarios"]), X)
-    assert blob["tickers"] == ["A", "B"]
 
 
 def test_return_matrix_validation():

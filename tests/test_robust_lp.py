@@ -9,7 +9,7 @@ import dro_portfolio as dp
 from dro_portfolio import SolutionStatusError, robust_lp
 from dro_portfolio import oracle
 
-from conftest import small_family
+from conftest import small_family, with_contradictory_leverage
 
 
 def golden_section_max(fn, lo, hi, tol=1e-12):
@@ -58,11 +58,38 @@ def test_row_count_matches_prediction(log_utility):
         fam = small_family(log_utility, scen, con, 1e-4, 1e-5)
         model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
         m, n = scen.m, scen.n
-        L, R = fam.counts[0] + 1, fam.counts[1] + 1
+        L, R = fam.a.size, fam.b.size
         # cuts m*L + R, link m, leverage 1, caps n, survival 1,
         # turnover 2n, cost limit 1
         expected = m * L + R + m + 1 + (n if holding else 0) + 1 + 2 * n + 1
         assert model.n_rows == expected
+
+
+def test_cut_rows_read_the_lifted_returns(log_utility):
+    # each return-leg cut holds z_j, s and y_j only; each scenario's return
+    # is spelled out once, in its equality row y_j - x^j'(K+ - K-) = 0
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
+        fam = small_family(log_utility, scen, con, 1e-4, 1e-5)
+        model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
+        m, n, L, lay = scen.m, scen.n, fam.a.size, model.layout
+        lo, hi = model.row_sections["cuts_x"]
+        cuts = model.A_ub[lo:hi]
+        assert (np.diff(cuts.indptr) == 3).all()
+        j = np.repeat(np.arange(m), L)
+        np.testing.assert_array_equal(
+            cuts.indices.reshape(-1, 3),
+            np.column_stack([lay.z.start + j, np.full(m * L, lay.s),
+                             lay.y.start + j]))
+        np.testing.assert_array_equal(cuts.data.reshape(-1, 3)[:, 2],
+                                      -np.tile(fam.a, m))
+        assert model.A_eq.shape == (m, lay.nv)
+        assert (np.diff(model.A_eq.indptr) == 2 * n + 1).all()
+        np.testing.assert_array_equal(model.b_eq, np.zeros(m))
+        sol = robust_lp.solve(model)
+        np.testing.assert_allclose(sol.x[lay.y], scen.scenarios @ sol.weights,
+                                   rtol=0, atol=1e-12)
 
 
 def test_decomposed_agrees_with_product(log_utility):
@@ -187,9 +214,7 @@ def test_infeasible_model_reports_certificate_row(log_utility, kelly_instance):
     # doctor the leverage row into a contradiction: sum of non-negative
     # magnitudes <= -1
     rows = model.row_sections["leverage"]
-    b = model.b_ub.copy()
-    b[rows[0]] = -1.0
-    bad = dataclasses.replace(model, b_ub=b)
+    bad = with_contradictory_leverage(model)
     sol = robust_lp.solve(bad)
     assert sol.status == "infeasible"
     assert sol.weights is None
@@ -234,16 +259,18 @@ def test_solve_flags_a_point_that_violates_rows(log_utility, kelly_instance,
     def shifted(*args, **kwargs):
         res = real(*args, **kwargs)
         res.x = res.x.copy()
-        res.x[model.layout.w] += 1e-5  # every binding link row now fails
+        res.x[target] += 1e-5
         return res
 
     monkeypatch.setattr(robust_lp, "linprog", shifted)
-    sol = robust_lp.solve(model)
-    assert sol.status == "numerical"
-    assert sol.residual == pytest.approx(1e-5, rel=1e-3)
-    assert sol.weights is None
-    with pytest.raises(SolutionStatusError):
-        robust_lp.extract_weights(sol, model.layout)
+    # w: every binding link row now fails; y_0: its equality row fails
+    for target in (model.layout.w, model.layout.y.start):
+        sol = robust_lp.solve(model)
+        assert sol.status == "numerical"
+        assert sol.residual == pytest.approx(1e-5, rel=1e-3)
+        assert sol.weights is None
+        with pytest.raises(SolutionStatusError):
+            robust_lp.extract_weights(sol, model.layout)
 
 
 def test_constraint_set_validation():
