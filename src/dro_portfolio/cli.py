@@ -24,7 +24,7 @@ from . import oracle, robust_lp
 from .data import append_risk_free, compute_returns, interpolate_missing, \
     load_prices
 from .partition import ErrorBudget, build_family, certify_error, \
-    removal_experiment
+    removal_experiment, tangency_residual
 from .utility import SeparableUtility
 
 USAGE_ERROR = 2
@@ -145,21 +145,21 @@ def cmd_partition(args) -> int:
         utility = SeparableUtility.from_config(cfg.get("utility", {"kind": "log"}))
     if eps_x <= 0 or eps_c <= 0:
         raise UsageError("partition needs positive eps_x and eps_c budgets")
+    if not 0.0 <= c_hi < 1.0:
+        raise UsageError("partition needs c_max in [0, 1)")
     budget = ErrorBudget(eps_x, eps_c)
     fam = build_family(utility, x_lo, x_hi, 0.0, c_hi, budget)
     sup_x, sup_c, sup_joint = certify_error(utility, fam, grid=2000)
     removal_table = []
-    for axis, pts in (("x", fam.x_points), ("c", fam.c_points)):
-        for idx in range(1, pts.size - 1):
-            new_sup = removal_experiment(utility, fam, idx, axis)
+    for axis, eps in (("x", budget.eps_x), ("c", budget.eps_c)):
+        new_sups = removal_experiment(utility, fam, axis).tolist()
+        for idx, new_sup in enumerate(new_sups, start=1):
             removal_table.append(
                 {
                     "axis": axis,
                     "index": idx,
                     "new_sup": new_sup,
-                    "error_violation": bool(
-                        new_sup > (budget.eps_x if axis == "x" else budget.eps_c)
-                    ),
+                    "error_violation": new_sup > eps,
                 }
             )
     doc = {
@@ -170,6 +170,7 @@ def cmd_partition(args) -> int:
         "sup_x": sup_x,
         "sup_c": sup_c,
         "sup_joint": sup_joint,
+        "tangency_residual": tangency_residual(utility, fam),
         "removal_table": removal_table,
     }
     _emit_json(doc, args, "partition.json")

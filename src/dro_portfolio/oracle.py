@@ -197,6 +197,42 @@ def _axis_values(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(lo_i, hi_i + 1) * step
 
 
+def _leverage_slices(axes, lev: float, step: float, size: int):
+    """The grid points that can meet the leverage bound, in row-major order.
+
+    A row is one cell of the leading axes (all but the last).  Of each row
+    only the last-axis range |k_last| <= lev - sum|k_lead| is generated,
+    with the bound's 1e-12 tolerance and widened by one grid step, so
+    every point it skips breaks the leverage bound.  Points come as
+    (n, points) arrays of at most size points; a slice may split a row.
+    """
+    last = axes[-1]
+    lead_shape = tuple(ax.size for ax in axes[:-1]) or (1,)
+    n_rows = math.prod(lead_shape)
+    for r0 in range(0, n_rows, size):
+        cell = np.unravel_index(np.arange(r0, min(r0 + size, n_rows)), lead_shape)
+        lead = [ax[i] for ax, i in zip(axes[:-1], cell)]
+        room = np.full(cell[0].size, lev + 1e-12 + step)
+        for v in lead:
+            room -= np.abs(v)
+        lo = np.searchsorted(last, -room, side="left")
+        count = np.maximum(np.searchsorted(last, room, side="right") - lo, 0)
+        end = np.cumsum(count)
+        start = end - count
+        # point p of this block lies in row r at last-axis index p - shift[r]
+        shift = start - lo
+        for p0 in range(0, int(end[-1]), size):
+            p1 = min(p0 + size, int(end[-1]))
+            a, b = np.searchsorted(end, [p0, p1 - 1], side="right")
+            rs = slice(a, b + 1)
+            row = np.repeat(np.arange(a, b + 1),
+                            np.minimum(end[rs], p1) - np.maximum(start[rs], p0))
+            col = np.arange(p0, p1) - shift[row]
+            G = np.stack([v[row] for v in lead] + [last[col]])
+            del row, col  # not held while the caller works on G
+            yield G
+
+
 def _row_min(a: np.ndarray) -> np.ndarray:
     """Row minima of a (points, m) array, one column at a time.
 
@@ -221,8 +257,9 @@ def exact_small_solve(
 
     Only for n <= 3; refuses outright when the grid would be too large.
     The grid is never built whole: it is scanned in row-major slices of
-    about 2M / m points, and the first strict maximum wins.  The returned
-    value is recomputed at the winning point through the
+    about 2M / m points that skip, row by row, the last-axis stretches
+    outside the leverage bound, and the first strict maximum wins.  The
+    returned value is recomputed at the winning point through the
     worst-case LP, so the scan and the LP route must agree.
     """
     n = scen.n
@@ -248,7 +285,6 @@ def exact_small_solve(
             "general polytopes need one LP per grid point; grid too large"
         )
 
-    shape = tuple(ax.size for ax in axes)
     down = np.abs(np.minimum(0.0, scen.x_min))[:, None]
     up = np.maximum(0.0, scen.x_max)[:, None]
     cost_vector = con.cost_vector[:, None]
@@ -257,11 +293,9 @@ def exact_small_solve(
     best_val = -math.inf
     best_k = None
     any_feasible = False
-    # walk the grid in row-major index ranges; each slice is held as an
-    # (n, points) array, so the sums over assets add contiguous rows
-    for s in range(0, total, chunk):
-        idx = np.unravel_index(np.arange(s, min(s + chunk, total)), shape)
-        G = np.stack([ax[i] for ax, i in zip(axes, idx)])
+    # each slice is held as an (n, points) array, so the sums over assets
+    # add contiguous rows
+    for G in _leverage_slices(axes, lev, grid_step, chunk):
         feas = np.abs(G).sum(axis=0) <= lev + 1e-12
         exposure = (np.maximum(G, 0.0) * down).sum(axis=0)
         exposure += (np.maximum(-G, 0.0) * up).sum(axis=0)

@@ -162,32 +162,32 @@ def error_c(u: SeparableUtility, c_r: float, c) -> float | np.ndarray:
     )
 
 
-def crossing_point_x(u: SeparableUtility, x_p: float, x_next: float) -> float:
-    """Point in (x_p, x_next) where the two tangent errors are equal."""
-    if not x_p < x_next:
-        raise ValueError("need x_p < x_next")
-    g_p = u.phi1_prime(x_p)
-    g_n = u.phi1_prime(x_next)
-    num = g_p * x_p - g_n * x_next + u.phi1(x_next) - u.phi1(x_p)
+def _crossing(phi, dphi, p, p_next, order: str):
+    """Where the tangents of phi at p and p_next meet; scalars or arrays."""
+    if not np.all(np.less(p, p_next)):
+        raise ValueError(f"need {order}")
+    g_p = dphi(p)
+    g_n = dphi(p_next)
+    num = g_p * p - g_n * p_next + phi(p_next) - phi(p)
     den = g_p - g_n
-    x_star = num / den
-    if not math.isfinite(x_star):
+    star = num / den
+    if not np.all(np.isfinite(star)):
         raise NumericalError("degenerate slope difference in crossing point")
-    return float(x_star)
+    return star if np.ndim(star) else float(star)
 
 
-def crossing_point_c(u: SeparableUtility, c_q: float, c_next: float) -> float:
+def crossing_point_x(u: SeparableUtility, x_p, x_next):
+    """Point in (x_p, x_next) where the two tangent errors are equal.
+
+    Floats give a float; equal-length arrays give the crossing of every
+    pair (x_p[i], x_next[i]).
+    """
+    return _crossing(u.phi1, u.phi1_prime, x_p, x_next, "x_p < x_next")
+
+
+def crossing_point_c(u: SeparableUtility, c_q, c_next):
     """c-axis analogue of crossing_point_x."""
-    if not c_q < c_next:
-        raise ValueError("need c_q < c_next")
-    g_q = u.phi2_prime(c_q)
-    g_n = u.phi2_prime(c_next)
-    num = g_q * c_q - g_n * c_next + u.phi2(c_next) - u.phi2(c_q)
-    den = g_q - g_n
-    c_star = num / den
-    if not math.isfinite(c_star):
-        raise NumericalError("degenerate slope difference in crossing point")
-    return float(c_star)
+    return _crossing(u.phi2, u.phi2_prime, c_q, c_next, "c_q < c_next")
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +324,31 @@ def build_partition(
         return Partition(np.array([lo], dtype=float), axis)
     pts = [float(lo)]
     is_log = u.kind == "log"
-    while pts[-1] < hi:
-        if len(pts) >= _MAX_POINTS:
-            raise NumericalError("partition exceeds the point cap; budget too small")
-        if is_log:
-            nxt = (
-                next_point_log(pts[-1], eps)
-                if axis == "x"
-                else next_point_log_c(pts[-1], eps)
-            )
-        else:
-            nxt = next_point_general(u, pts[-1], eps, axis)
-        if nxt <= pts[-1]:
-            raise NumericalError("partition step did not advance")
-        if nxt >= hi:
-            pts.append(float(hi))
-            break
-        pts.append(float(nxt))
+    try:
+        while pts[-1] < hi:
+            if len(pts) >= _MAX_POINTS:
+                raise NumericalError(
+                    "partition exceeds the point cap; budget too small"
+                )
+            if is_log:
+                nxt = (
+                    next_point_log(pts[-1], eps)
+                    if axis == "x"
+                    else next_point_log_c(pts[-1], eps)
+                )
+            else:
+                nxt = next_point_general(u, pts[-1], eps, axis)
+            if nxt <= pts[-1]:
+                raise NumericalError("partition step did not advance")
+            if nxt >= hi:
+                pts.append(float(hi))
+                break
+            pts.append(float(nxt))
+    except (BracketError, NumericalError) as exc:
+        # the budget is input: one the recursion cannot meet is a bad value
+        raise ValueError(
+            f"{axis}-axis budget {eps:g} cannot be met on [{lo:g}, {hi:g}]: {exc}"
+        ) from exc
     return Partition(np.array(pts), axis)
 
 
@@ -435,13 +443,16 @@ def tangency_residual(u: SeparableUtility, fam: HyperplaneFamily) -> float:
 
 
 def removal_experiment(
-    u: SeparableUtility, fam: HyperplaneFamily, which: int, axis: str
-) -> float:
-    """Per-axis sup error after deleting one interior anchor point.
+    u: SeparableUtility, fam: HyperplaneFamily, axis: str
+) -> np.ndarray:
+    """Per-axis sup error after deleting each interior anchor point in turn.
 
-    The new sup is the largest equal-error crossing value over the
-    surviving consecutive anchor pairs; the pair that brackets the removed
-    point contributes the enlarged value.
+    Entry i - 1 belongs to point i, 0 < i < M - 1.  With point i gone the
+    new sup is the largest equal-error crossing value over the surviving
+    consecutive pairs: every pair left of i - 1, the merged pair
+    (i - 1, i + 1), and every pair right of i + 1.  All M - 1 neighbour
+    pairs and M - 2 merged pairs are evaluated once, and prefix and suffix
+    maxima combine them, so the whole table costs O(M).
     """
     if axis == "x":
         pts = fam.x_points
@@ -451,11 +462,12 @@ def removal_experiment(
         err, cross = error_c, crossing_point_c
     else:
         raise ValueError("axis must be 'x' or 'c'")
-    if not 0 < which < pts.size - 1:
-        raise ValueError("only interior points can be removed")
-    kept = np.delete(pts, which)
-    sup = 0.0
-    for left, right in zip(kept[:-1], kept[1:]):
-        star = cross(u, float(left), float(right))
-        sup = max(sup, float(err(u, float(left), star)))
-    return sup
+    if pts.size < 3:
+        return np.empty(0)
+    pair = err(u, pts[:-1], cross(u, pts[:-1], pts[1:]))
+    merged = err(u, pts[:-2], cross(u, pts[:-2], pts[2:]))
+    zero = np.zeros(1)
+    # before[k] = max(0, pair[:k]) and after[k] = max(0, pair[k:])
+    before = np.maximum.accumulate(np.concatenate([zero, pair]))
+    after = np.maximum.accumulate(np.concatenate([pair, zero])[::-1])[::-1]
+    return np.maximum(np.maximum(before[:-2], merged), after[2:])

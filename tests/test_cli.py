@@ -75,6 +75,8 @@ def test_partition_report(tmp_path):
     assert doc["removal_table"]
     # dropping any interior tangent must blow the certified budget
     assert all(row["error_violation"] for row in doc["removal_table"])
+    assert len(doc["removal_table"]) == (47 - 2) + (4 - 2)
+    assert doc["tangency_residual"] <= 1e-12
     assert "timestamp" not in doc
 
 
@@ -125,6 +127,28 @@ def test_partition_requires_budgets(capsys):
     rc = run_cli(["partition"])
     assert rc == 2
     assert "eps_x" in capsys.readouterr().err
+
+
+def test_partition_rejects_a_cost_box_reaching_one(capsys):
+    rc = run_cli(["partition", "--eps-x", "1e-4", "--eps-c", "1e-4",
+                  "--c-max", "1.0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: partition needs c_max in [0, 1)\n"
+
+
+def test_partition_budget_below_reach_is_an_input_error(capsys):
+    rc = run_cli(["partition", "--eps-x", "1e-300", "--eps-c", "1e-4"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: x-axis budget 1e-300 cannot be met on [-0.2, 0.2]"
+    )
+
+
+def test_solve_budget_below_reach_is_an_input_error(tmp_path, capsys):
+    config = write_config(tmp_path, budget={"eps_x": 1e-300})
+    rc = run_cli(["solve", "--config", config])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: x-axis budget 1e-300")
 
 
 # ---------------------------------------------------------------------------

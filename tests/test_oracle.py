@@ -240,6 +240,40 @@ def _small_grid_instances():
             yield scen, dp.from_gamma(scen.probabilities, gamma), con, k_prev
 
 
+def _leverage_cut_instances():
+    """12 instances whose leverage bound of 1 cuts through capped grids.
+
+    At n = 3 the leading cells form a 2-D grid, and the long last axis
+    is trimmed at both ends of a row with shorting, at the upper end
+    without.  The long-only caps are asymmetric.
+    """
+    rng = np.random.default_rng(21)
+    shapes = (
+        (3, True, np.array([0.005, 0.005, 0.995])),
+        (3, False, np.array([0.02, 0.01, 0.985])),
+        (2, False, np.array([0.9, 0.15])),
+    )
+    for (n, short, cap), cost, gamma in itertools.product(
+        shapes, (0.0, 0.002), (0.0, 0.3)
+    ):
+        m = int(rng.integers(2, 21))
+        X = rng.uniform(-0.15, 0.18, size=(m, n))
+        scen = dp.ScenarioSet(
+            scenarios=X,
+            probabilities=np.full(m, 1.0 / m),
+            x_min=X.min(axis=0),
+            x_max=X.max(axis=0),
+        )
+        k_prev = np.zeros(n)
+        if cost:
+            k_prev = rng.uniform(-0.01 if short else 0.0, 0.01, size=n)
+        con = robust_lp.TradingConstraintSet.uniform(
+            n, leverage=1.0, cost_rate=cost, turnover_cost_limit=cost,
+            holding_caps=cap, allow_short=short,
+        )
+        yield scen, dp.from_gamma(scen.probabilities, gamma), con, k_prev
+
+
 def test_exact_small_solve_matches_the_meshgrid_scan(kelly_instance, log_utility):
     scen, amb, _ = kelly_instance
     # leverage 25 puts K = 20 on the grid: on the survival bound, with a
@@ -247,14 +281,43 @@ def test_exact_small_solve_matches_the_meshgrid_scan(kelly_instance, log_utility
     edge = robust_lp.TradingConstraintSet.uniform(
         1, leverage=25.0, cost_rate=0.0, turnover_cost_limit=0.0
     )
-    instances = [*_small_grid_instances(), (scen, amb, edge, np.zeros(1))]
+    instances = [*_small_grid_instances(), *_leverage_cut_instances(),
+                 (scen, amb, edge, np.zeros(1))]
     for scen, amb, con, k_prev in instances:
         k, value = oracle.exact_small_solve(scen, amb, con, k_prev, log_utility)
         k_ref, value_ref = exact_small_solve_by_meshgrid(
             scen, amb, con, k_prev, log_utility
         )
         assert np.array_equal(k, k_ref) and value == value_ref
-    assert len(instances) == 49
+    assert len(instances) == 61
+
+
+@pytest.mark.parametrize("short, size", [(True, 5000), (False, 5000), (True, 25)],
+                         ids=["short", "long-only", "rows-split"])
+def test_leverage_slices_skip_only_infeasible_points(short, size):
+    # the short grid has 6161 leading cells (two blocks of 5000) and rows
+    # of 41 points, so slices of 25 points split every row
+    step = 1e-3
+    lo = -0.03 if short else 0.0
+    axes = [oracle._axis_values(lo, hi, step) for hi in (0.03, 0.05, 0.02)]
+    lev = 0.06
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    slices = list(oracle._leverage_slices(axes, lev, step, size))
+    assert all(0 < G.shape[1] <= size for G in slices)
+    got = np.concatenate(slices, axis=1)
+    order = np.ravel_multi_index(
+        [np.rint((g - ax[0]) / step).astype(int) for g, ax in zip(got, axes)],
+        [ax.size for ax in axes],
+    )
+    # row-major without repeats, and the grid's own values
+    assert np.all(np.diff(order) > 0)
+    assert np.array_equal(got, mesh[:, order])
+    # every skipped point breaks the bound; the kept range is one step wider
+    skipped = np.ones(mesh.shape[1], dtype=bool)
+    skipped[order] = False
+    assert np.all(np.abs(mesh[:, skipped]).sum(axis=0) > lev + 1e-12)
+    assert np.all(np.abs(got).sum(axis=0) <= lev + step + 2e-12)
+    assert 0 < skipped.sum() < mesh.shape[1]
 
 
 @pytest.mark.parametrize("m", [2, 8, 20])

@@ -214,10 +214,11 @@ def test_removal_interior_quadruples_error(log_utility):
     fam = dp.build_family(
         log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(1e-5, 1e-5)
     )
-    # interior x plane flanked by two full-budget intervals
-    err = dp.removal_experiment(log_utility, fam, which=5, axis="x")
+    # interior x plane flanked by two full-budget intervals; entry i - 1
+    # belongs to point i
+    err = dp.removal_experiment(log_utility, fam, axis="x")[5 - 1]
     assert err == pytest.approx(4e-5, rel=0.15)
-    err_c = dp.removal_experiment(log_utility, fam, which=1, axis="c")
+    err_c = dp.removal_experiment(log_utility, fam, axis="c")[1 - 1]
     assert err_c == pytest.approx(4e-5, rel=0.15)
 
 
@@ -229,10 +230,87 @@ def test_removal_next_to_clamped_interval_is_smaller(log_utility):
         log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(1e-5, 1e-5)
     )
     last_interior = len(fam.x_points) - 2
-    err = dp.removal_experiment(log_utility, fam, which=last_interior, axis="x")
+    err = dp.removal_experiment(log_utility, fam, axis="x")[last_interior - 1]
     assert 1e-5 < err < 4e-5 * 0.85
-    err_c = dp.removal_experiment(log_utility, fam, which=2, axis="c")
+    err_c = dp.removal_experiment(log_utility, fam, axis="c")[2 - 1]
     assert 1e-5 < err_c < 4e-5 * 0.85
+
+
+def removal_by_loop(u, fam, which, axis):
+    """Reference: delete one point and rescan every surviving pair."""
+    if axis == "x":
+        pts, err, cross = fam.x_points, pt.error_x, pt.crossing_point_x
+    else:
+        pts, err, cross = fam.c_points, pt.error_c, pt.crossing_point_c
+    kept = np.delete(pts, which)
+    sup = 0.0
+    for left, right in zip(kept[:-1], kept[1:]):
+        star = cross(u, float(left), float(right))
+        sup = max(sup, float(err(u, float(left), star)))
+    return sup
+
+
+def removal_table_by_loop(u, fam, axis):
+    pts = fam.x_points if axis == "x" else fam.c_points
+    return np.array(
+        [removal_by_loop(u, fam, i, axis) for i in range(1, pts.size - 1)]
+    )
+
+
+def test_removal_table_matches_the_loop(log_utility):
+    for eps in (1e-4, 1e-5, 1e-6):
+        fam = dp.build_family(
+            log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(eps, eps)
+        )
+        for axis in ("x", "c"):
+            table = dp.removal_experiment(log_utility, fam, axis)
+            pts = fam.x_points if axis == "x" else fam.c_points
+            assert table.size == pts.size - 2
+            assert np.array_equal(table, removal_table_by_loop(log_utility, fam, axis))
+    # irregular points, where a wide interval elsewhere can outweigh the
+    # merged pair around the removed point
+    rng = np.random.default_rng(7)
+    fam = dp.build_hyperplanes(
+        log_utility,
+        pt.Partition(np.sort(rng.uniform(-0.2, 0.2, 40)), "x"),
+        pt.Partition(np.sort(rng.uniform(0.0, 0.5, 12)), "c"),
+    )
+    for axis, pts, err, cross in (
+        ("x", fam.x_points, pt.error_x, pt.crossing_point_x),
+        ("c", fam.c_points, pt.error_c, pt.crossing_point_c),
+    ):
+        table = dp.removal_experiment(log_utility, fam, axis)
+        assert np.array_equal(table, removal_table_by_loop(log_utility, fam, axis))
+        merged = err(log_utility, pts[:-2], cross(log_utility, pts[:-2], pts[2:]))
+        assert np.any(table > merged)
+    # numpy's pow on arrays and Python's float pow may differ in the last bit
+    for u in (SeparableUtility("power", delta=0.5),
+              SeparableUtility("crra", theta=3.0)):
+        fam = dp.build_family(u, -0.2, 0.3, 0.0, 0.1, dp.ErrorBudget(5e-5, 5e-6))
+        for axis in ("x", "c"):
+            table = dp.removal_experiment(u, fam, axis)
+            assert table.size > 2
+            np.testing.assert_allclose(
+                table, removal_table_by_loop(u, fam, axis), rtol=0, atol=1e-15
+            )
+
+
+def test_removal_table_of_short_partitions(log_utility):
+    three = dp.build_hyperplanes(
+        log_utility,
+        pt.Partition(np.array([-0.1, 0.0, 0.1]), "x"),
+        pt.Partition(np.array([0.0, 0.01]), "c"),
+    )
+    table = dp.removal_experiment(log_utility, three, "x")
+    assert table.shape == (1,)
+    assert table[0] == removal_by_loop(log_utility, three, 1, "x")
+    assert dp.removal_experiment(log_utility, three, "c").shape == (0,)
+    single = dp.build_family(
+        log_utility, -0.1, 0.1, 0.0, 0.0, dp.ErrorBudget(1e-5, 1e-5)
+    )
+    assert dp.removal_experiment(log_utility, single, "c").shape == (0,)
+    with pytest.raises(ValueError):
+        dp.removal_experiment(log_utility, three, "q")
 
 
 def test_crossing_point_between_neighbour_planes(log_utility):
@@ -245,6 +323,14 @@ def test_crossing_point_between_neighbour_planes(log_utility):
     g_l = u.phi1(x_l) - a_l * x_l
     g_r = u.phi1(x_r) - a_r * x_r
     assert a_l * xc + g_l == pytest.approx(a_r * xc + g_r, abs=1e-14)
+    # arrays give every pair's crossing through the same formula
+    lefts = np.array([x_l, x_r])
+    rights = np.array([x_r, pt.next_point_log(x_r, 1e-5)])
+    both = pt.crossing_point_x(u, lefts, rights)
+    assert both[0] == xc
+    assert both[1] == pt.crossing_point_x(u, x_r, float(rights[1]))
+    with pytest.raises(ValueError):
+        pt.crossing_point_x(u, lefts, rights[::-1])
 
 
 def test_tangent_planes_dominate_the_utility(log_utility):
