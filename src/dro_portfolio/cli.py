@@ -14,7 +14,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +22,7 @@ from . import backtest as bt
 from . import oracle, robust_lp
 from .data import append_risk_free, compute_returns, interpolate_missing, \
     load_prices
+from .parallel import thread_map
 from .partition import ErrorBudget, build_family, certify_error, \
     removal_experiment, tangency_residual
 from .utility import SeparableUtility
@@ -120,13 +120,6 @@ def _sweep_values(spec: str):
     return name.strip(), [float(v) for v in vals]
 
 
-def _sweep(fn, values) -> list:
-    """fn over the sweep values, up to one thread per CPU, in input order."""
-    workers = min(len(values), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
-
-
 # ---------------------------------------------------------------------------
 # partition
 # ---------------------------------------------------------------------------
@@ -217,7 +210,7 @@ def cmd_solve(args) -> int:
         raise UsageError(
             f"need at least {config.train_window} return periods, have {T}"
         )
-    results = _sweep(lambda c: _solve_report(c, returns), configs)
+    results = thread_map(lambda c: _solve_report(c, returns), configs)
     status = 0
     for res in results:
         if res["status"] != "optimal":
@@ -268,7 +261,7 @@ def cmd_backtest(args) -> int:
 
     status = 0
     series = []
-    for c, outcome in zip(configs, _sweep(one, configs)):
+    for c, outcome in zip(configs, thread_map(one, configs)):
         tag = f"_c_{c.cost_rate:g}" if args.sweep else ""
         if isinstance(outcome, bt.BacktestError):
             _emit_json({"status": "failed", "error": str(outcome)}, args,

@@ -19,6 +19,7 @@ from scipy.optimize import linprog
 from . import robust_lp
 from .ambiguity import PolyhedralAmbiguitySet, from_gamma
 from .data import ScenarioSet
+from .parallel import thread_map
 from .partition import ErrorBudget, HyperplaneFamily, tangency_residual
 # bound at import, so that assemble_product keeps working while it stands
 # in for robust_lp.assemble
@@ -32,6 +33,10 @@ class ComplexityError(ValueError):
 
 _GRID_POINT_CAP = 40_000_000
 _LP_POINT_CAP = 20_000
+# values (points x scenarios) in one grid-scan slice: 512 KiB a float
+# array, so a slice's temporaries stay in a core's L2 cache and scans on
+# concurrent threads do not compete for memory bandwidth
+_SLICE_VALUES = 1 << 16
 
 
 def exact_q(u: SeparableUtility, scen: ScenarioSet, k, k_prev, cost_vector):
@@ -257,10 +262,11 @@ def exact_small_solve(
 
     Only for n <= 3; refuses outright when the grid would be too large.
     The grid is never built whole: it is scanned in row-major slices of
-    about 2M / m points that skip, row by row, the last-axis stretches
-    outside the leverage bound, and the first strict maximum wins.  The
-    returned value is recomputed at the winning point through the
-    worst-case LP, so the scan and the LP route must agree.
+    _SLICE_VALUES / m points (m scenarios), sized to stay in cache, that
+    skip, row by row, the last-axis stretches outside the leverage bound,
+    and the first strict maximum wins.  The returned value is recomputed
+    at the winning point through the worst-case LP, so the scan and the
+    LP route must agree.
     """
     n = scen.n
     if n > 3:
@@ -289,7 +295,7 @@ def exact_small_solve(
     up = np.maximum(0.0, scen.x_max)[:, None]
     cost_vector = con.cost_vector[:, None]
     Xt = scen.scenarios.T
-    chunk = max(1, int(2_000_000 // max(1, scen.m)))
+    chunk = max(1, _SLICE_VALUES // max(1, scen.m))
     best_val = -math.inf
     best_k = None
     any_feasible = False
@@ -572,7 +578,12 @@ def verify_approximation(seed: int = 0, instances: int = 6, fault: bool = False)
 
 
 def run_all(seed: int = 0, fault: bool = False, suites=None) -> dict:
-    """Run the named verification suites; default runs everything."""
+    """Run the named verification suites; default runs everything.
+
+    The suites run side by side (parallel.thread_map); each draws from
+    its own seeded generator, so the report does not depend on the
+    thread count.
+    """
     registry = {
         "duality": lambda: verify_duality(seed),
         "inner": lambda: verify_inner(seed),
@@ -585,7 +596,7 @@ def run_all(seed: int = 0, fault: bool = False, suites=None) -> dict:
     unknown = [s for s in suites if s not in registry]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    results = {name: registry[name]() for name in suites}
+    results = dict(zip(suites, thread_map(lambda s: registry[s](), suites)))
     passed = all(r["passed"] for r in results.values())
     return {"passed": passed, "suites": results}
 

@@ -22,6 +22,11 @@ import numpy as np
 from .utility import SeparableUtility
 
 _MAX_POINTS = 1_000_000
+# a budget at or below this multiple of |phi(p)| drowns in the rounding of
+# the phi differences the general recursion solves on
+_RESOLUTION = 16 * np.finfo(float).eps
+# plane-by-grid values one certify_error block holds (2 MiB a float array)
+_ENVELOPE_BLOCK = 1 << 18
 
 
 class BracketError(RuntimeError):
@@ -232,6 +237,10 @@ def next_point_general(u: SeparableUtility, p: float, eps: float, axis: str = "x
     target = eps / scale
     slope_p = dphi(p)
     val_p = phi(p)
+    if target <= _RESOLUTION * abs(val_p):
+        raise NumericalError(
+            f"budget {eps:g} is below the float resolution of phi at {p:g}"
+        )
 
     def g(step):
         # tangent-at-p error at p + step, in phi units
@@ -416,18 +425,32 @@ def certify_error(
     cs = np.linspace(fam.c_points[0], fam.c_points[-1], grid)
     fx = u.alpha * u.phi1(xs)
     fc = u.beta * u.phi2(cs)
-    ax = fam.a[:, None] * xs[None, :]
-    bc = fam.b[:, None] * cs[None, :]
     gx = u.alpha * u.phi1(fam.x_points) - fam.a * fam.x_points
     gc = u.beta * u.phi2(fam.c_points) - fam.b * fam.c_points
-    sup_x = float(np.max((ax + gx[:, None]).min(axis=0) - fx))
-    sup_c = float(np.max((bc + gc[:, None]).min(axis=0) - fc))
+    sup_x = float(np.max(_envelope(fam.a, gx, xs) - fx))
+    sup_c = float(np.max(_envelope(fam.b, gc, cs) - fc))
 
-    dx = (ax + fam.gamma_x[:, None]).min(axis=0) - fx
-    dc = (bc + fam.gamma_c[:, None]).min(axis=0) - fc
+    dx = _envelope(fam.a, fam.gamma_x, xs) - fx
+    dc = _envelope(fam.b, fam.gamma_c, cs) - fc
     # max over the grid of |dx[i] + dc[j]|
     sup_joint = float(max(dx.max() + dc.max(), -(dx.min() + dc.min())))
     return sup_x, sup_c, sup_joint
+
+
+def _envelope(slopes, intercepts, ts) -> np.ndarray:
+    """min over planes l of slopes[l] * ts + intercepts[l], at every ts.
+
+    The planes are reduced in blocks of at most _ENVELOPE_BLOCK values,
+    so memory stays bounded for any plane count; a minimum is exact in
+    any order, so the result does not depend on the block size.
+    """
+    rows = max(1, _ENVELOPE_BLOCK // ts.size)
+    env = np.full(ts.size, np.inf)
+    for i in range(0, slopes.size, rows):
+        part = slopes[i:i + rows, None] * ts[None, :]
+        part += intercepts[i:i + rows, None]
+        np.minimum(env, part.min(axis=0), out=env)
+    return env
 
 
 def tangency_residual(u: SeparableUtility, fam: HyperplaneFamily) -> float:

@@ -144,6 +144,23 @@ def test_partition_budget_below_reach_is_an_input_error(capsys):
     )
 
 
+@pytest.mark.parametrize("utility", [{"kind": "power", "delta": 0.5},
+                                     {"kind": "crra", "theta": 3.0}],
+                         ids=["power", "crra"])
+@pytest.mark.parametrize("axis", ["x", "c"])
+def test_partition_sub_resolution_budget_is_an_input_error(
+        tmp_path, capsys, utility, axis):
+    config = tmp_path / "utility.json"
+    config.write_text(json.dumps({"utility": utility}))
+    budgets = {"x": "1e-5", "c": "1e-5", axis: "1e-300"}
+    rc = run_cli(["partition", "--config", str(config),
+                  "--eps-x", budgets["x"], "--eps-c", budgets["c"]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {axis}-axis budget 1e-300 cannot be met"
+    )
+
+
 def test_solve_budget_below_reach_is_an_input_error(tmp_path, capsys):
     config = write_config(tmp_path, budget={"eps_x": 1e-300})
     rc = run_cli(["solve", "--config", config])
@@ -380,6 +397,20 @@ def test_verify_fault_injection_detected(tmp_path):
     assert doc["passed"] is False
     failures = doc["suites"]["approximation"]["failures"]
     assert any("hyperplane tangency broken" in str(row) for row in failures)
+
+
+def test_verify_matches_across_worker_counts(tmp_path, monkeypatch):
+    texts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus_{cpus}"
+        assert run_cli(["verify", "--suites", "inner,concavity,survivability",
+                        "--no-timestamp", "--out", str(out)]) == 0
+        texts.append((out / "verify.json").read_bytes())
+    serial, parallel = texts
+    assert serial == parallel
+    assert set(json.loads(serial)["suites"]) == {"inner", "concavity",
+                                                 "survivability"}
 
 
 def test_verify_unknown_suite(capsys):

@@ -5,6 +5,7 @@ defining root equations, independently of the package's own bisection.
 """
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,51 @@ def test_separability_random_budgets(log_utility):
         )
         sup_x, sup_c, sup_joint = dp.certify_error(log_utility, fam, grid=1000)
         assert abs(sup_joint - (sup_x + sup_c)) <= 1e-9
+
+
+def certify_by_dense(u, fam, grid):
+    """Reference certify_error: each axis's planes on its grid as one array."""
+    xs = np.linspace(fam.x_points[0], fam.x_points[-1], grid)
+    cs = np.linspace(fam.c_points[0], fam.c_points[-1], grid)
+    fx = u.alpha * u.phi1(xs)
+    fc = u.beta * u.phi2(cs)
+    ax = fam.a[:, None] * xs[None, :]
+    bc = fam.b[:, None] * cs[None, :]
+    gx = u.alpha * u.phi1(fam.x_points) - fam.a * fam.x_points
+    gc = u.beta * u.phi2(fam.c_points) - fam.b * fam.c_points
+    sup_x = float(np.max((ax + gx[:, None]).min(axis=0) - fx))
+    sup_c = float(np.max((bc + gc[:, None]).min(axis=0) - fc))
+    dx = (ax + fam.gamma_x[:, None]).min(axis=0) - fx
+    dc = (bc + fam.gamma_c[:, None]).min(axis=0) - fc
+    sup_joint = float(max(dx.max() + dc.max(), -(dx.min() + dc.min())))
+    return sup_x, sup_c, sup_joint
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+def test_certify_error_matches_the_dense_formula(log_utility, eps):
+    fam = dp.build_family(
+        log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(eps, eps)
+    )
+    for grid in (1000, 2000):
+        assert dp.certify_error(log_utility, fam, grid=grid) == \
+            certify_by_dense(log_utility, fam, grid)
+
+
+def test_certify_error_memory_stays_bounded(log_utility):
+    # 200,001 cost-leg planes: one (R, grid) array of them is 1.6 GB
+    px = pt.Partition(np.linspace(-0.2, 0.2, 9), "x")
+    pc = pt.Partition(np.linspace(0.0, 0.02, 200_001), "c")
+    fam = pt.build_hyperplanes(log_utility, px, pc)
+    tracemalloc.start()
+    try:
+        sup_x, sup_c, sup_joint = dp.certify_error(log_utility, fam, grid=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # planes 1e-7 apart leave a cost-leg error far below the x-leg one
+    assert 0.0 <= sup_c < 1e-12 < sup_x
+    assert sup_joint == pytest.approx(sup_x + sup_c, abs=1e-15)
 
 
 def joint_sup_by_scan(u, fam, grid):
@@ -368,6 +414,19 @@ def test_partition_validation():
         pt.Partition(points=np.array([0.1]), axis="q")
     with pytest.raises(ValueError):
         dp.ErrorBudget(-1e-5, 1e-5)
+
+
+@pytest.mark.parametrize("u", [SeparableUtility("power", delta=0.5),
+                               SeparableUtility("crra", theta=3.0)],
+                         ids=["power", "crra"])
+@pytest.mark.parametrize("budget, axis", [((1e-300, 1e-5), "x"),
+                                          ((1e-5, 1e-300), "c"),
+                                          ((1e-40, 1e-5), "x")],
+                         ids=["x-1e-300", "c-1e-300", "x-1e-40"])
+def test_sub_resolution_budget_is_an_input_error(u, budget, axis):
+    with pytest.raises(ValueError, match=f"^{axis}-axis budget .* below the "
+                                         "float resolution"):
+        dp.build_family(u, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(*budget))
 
 
 def test_crra_family_certifies():
