@@ -154,11 +154,12 @@ def assemble_product(
     """The rebalance LP with one cut row per (scenario, x-anchor, c-anchor).
 
     Reference for robust_lp.assemble: its split cut block is replaced by
-    all m*L*R rows z_j - a_l K'x^j - b_r C'u <= gamma[l, r], which use the
-    full intercept matrix fam.gamma, and the split's scalar s is pinned to 0.
-    The cuts read K directly, not the lifted returns y; the equality rows
-    defining y and the remaining rows are shared.  The signature is that of
-    robust_lp.assemble, so the reference can stand in for it.
+    all m*L*R rows w - (A0'nu + A1'lam)_j - a_l K'x^j - b_r C'u <= gamma[l, r],
+    which use the full intercept matrix fam.gamma, and the split's scalar s
+    is pinned to 0.  The cuts read K directly, not the lifted returns y; the
+    equality rows defining y and the remaining rows are shared.  The
+    signature is that of robust_lp.assemble, so the reference can stand in
+    for it.
     """
     model = _assemble(scen, fam, amb, con, k_prev)
     lay = model.layout
@@ -172,7 +173,10 @@ def assemble_product(
     A_h[:, lay.kp] = -k_coef
     A_h[:, lay.km] = k_coef
     A_h[:, lay.u] = -np.tile(fam.b[:, None] * C[None, :], (m * L, 1))
-    A_h[np.arange(rows), lay.z.start + np.repeat(np.arange(m), L * R)] = 1.0
+    A_h[:, lay.w] = 1.0
+    j = np.repeat(np.arange(m), L * R)
+    A_h[:, lay.nu] = -amb.A0.T[j]
+    A_h[:, lay.lam] = -amb.A1.T[j]
     kept = model.row_sections["cuts_c"][1]  # the split cut rows come first
     shift = rows - kept
     sections = {"cuts": (0, rows)}

@@ -268,9 +268,20 @@ def next_point_general(u: SeparableUtility, p: float, eps: float, axis: str = "x
     return split + right
 
 
+def _check_log_budget(eps: float) -> None:
+    # theta(t) = t - log(t) - 1 is a difference of terms near 1: a budget at
+    # or below _RESOLUTION drowns in its rounding, and the step solved for
+    # it is noise
+    if eps <= _RESOLUTION:
+        raise NumericalError(
+            f"budget {eps:g} is below the float resolution of the log step"
+        )
+
+
 @lru_cache(maxsize=64)
 def _log_step_x(eps_x: float) -> float:
     """Multiplicative step a with x_next = (1+a)x + a for the log family."""
+    _check_log_budget(eps_x)
     theta = lambda t: t - math.log(t) - 1.0
     hi = 1.0 + 10.0 * math.sqrt(2.0 * eps_x)
     if theta(hi) < eps_x:
@@ -284,6 +295,7 @@ def _log_step_x(eps_x: float) -> float:
 @lru_cache(maxsize=64)
 def _log_step_c(eps_c: float) -> float:
     """Contraction step d with c_next = (1-d)c + d for the log family."""
+    _check_log_budget(eps_c)
     theta = lambda t: t - math.log(t) - 1.0
     # lower root of theta(t) = eps_c, strictly inside (0, 1)
     lo = 1.0 - 10.0 * math.sqrt(2.0 * eps_c)

@@ -2,17 +2,18 @@
 
 One rebalance solves
 
-    max over (K, u, Z, W, nu, lam, s, y) of  W - d0'nu - d1'lam
+    max over (K, u, W, nu, lam, s, y) of  W - d0'nu - d1'lam
 
 subject to trading constraints on K = K+ - K-, turnover magnitudes u,
-tangent-plane cuts linking Z to the approximated utility at each
-scenario, and the link rows W <= Z_j + (A0'nu + A1'lam)_j with lam >= 0.
-The scenario returns y_j = x^j'K are lifted into variables of their own
-(Ben-Tal & Nemirovski, Lectures on Modern Convex Optimization, 2001),
-so each cut row touches three variables however many assets there are.
-The maximizing K is the robust portfolio for the polyhedral family of
-scenario probabilities.  ``rebalance`` runs the whole step: approximation
-box, tangent family, assembly and solve.
+and tangent-plane cuts W - (A0'nu + A1'lam)_j <= s + a_l y_j + gamma_x[l]
+with lam >= 0: W lies below the approximated utility of every scenario,
+shifted by the dual multipliers of the ambiguity polytope.  The scenario
+returns y_j = x^j'K are lifted into variables of their own (Ben-Tal &
+Nemirovski, Lectures on Modern Convex Optimization, 2001), so a cut row's
+length does not depend on how many assets there are.  The maximizing K
+is the robust portfolio for the polyhedral family of scenario
+probabilities.  ``rebalance`` runs the whole step: approximation box,
+tangent family, assembly and solve.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class DecisionLayout:
     kp: slice
     km: slice
     u: slice
-    z: slice
     w: int
     nu: slice
     lam: slice
@@ -109,13 +109,12 @@ class DecisionLayout:
         kp = slice(o, o + n); o += n
         km = slice(o, o + n); o += n
         u = slice(o, o + n); o += n
-        z = slice(o, o + m); o += m
         w = o; o += 1
         nu = slice(o, o + m0); o += m0
         lam = slice(o, o + m1); o += m1
         s = o; o += 1
         y = slice(o, o + m); o += m
-        return cls(kp=kp, km=km, u=u, z=z, w=w, nu=nu, lam=lam, s=s, y=y, nv=o)
+        return cls(kp=kp, km=km, u=u, w=w, nu=nu, lam=lam, s=s, y=y, nv=o)
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,10 @@ class LpSolution:
     provenance: dict
 
 
-def _check_prev_feasible(con: TradingConstraintSet, scen: ScenarioSet, k_prev):
+def _check_prev_feasible(con: TradingConstraintSet, k_prev):
+    # the survival bound is not checked here: k_prev only sets the turnover
+    # rows, so the LP may trade away from weights the new window rules out
     tol = 1e-9
-    k_prev = np.asarray(k_prev, dtype=float)
     if np.abs(k_prev).sum() > con.leverage + tol:
         raise AssemblyError("previous weights violate the leverage bound")
     if not con.allow_short and np.any(k_prev < -tol):
@@ -165,24 +165,24 @@ def _check_prev_feasible(con: TradingConstraintSet, scen: ScenarioSet, k_prev):
         np.abs(k_prev) > con.holding_caps + tol
     ):
         raise AssemblyError("previous weights violate a holding cap")
-    down = np.abs(np.minimum(0.0, scen.x_min))
-    up = np.maximum(0.0, scen.x_max)
-    exposure = np.maximum(k_prev, 0.0) @ down + np.maximum(-k_prev, 0.0) @ up
-    if exposure > 1.0 + tol:
-        raise AssemblyError("previous weights violate the survival bound")
+
+
+def _fixed(cols, vals) -> tuple:
+    """A row block whose row i stores vals[i] at the columns cols[i]."""
+    return np.full(cols.shape[0], cols.shape[1]), cols.ravel(), vals.ravel()
 
 
 def _rows(blocks, nv: int) -> sp.csr_matrix:
-    """Stack (cols, vals) blocks into one CSR matrix.
+    """Stack (widths, cols, vals) row blocks into one CSR matrix.
 
-    Row i of a block stores vals[i] at the columns cols[i].
+    Row i of a block holds the next widths[i] of its flat cols and vals.
     """
-    width = np.concatenate([np.full(c.shape[0], c.shape[1]) for c, _ in blocks])
-    indptr = np.concatenate([[0], np.cumsum(width)])
+    widths = np.concatenate([w for w, _, _ in blocks])
+    indptr = np.concatenate([[0], np.cumsum(widths)])
     return sp.csr_matrix(
-        (np.concatenate([v.ravel() for _, v in blocks]),
-         np.concatenate([c.ravel() for c, _ in blocks]), indptr),
-        shape=(width.size, nv),
+        (np.concatenate([v for _, _, v in blocks]),
+         np.concatenate([c for _, c, _ in blocks]), indptr),
+        shape=(indptr.size - 1, nv),
     )
 
 
@@ -197,10 +197,17 @@ def assemble(
 
     The m equality rows y_j - x^j'K = 0 hold each scenario return once.
     The cost leg gets one shared epigraph scalar s, so the m*L*R tangent
-    planes become m*L return-leg cuts z_j - s - a_l y_j <= gamma_x[l]
-    with 3 entries each, plus R cost-leg cuts with right-hand sides
-    fam.gamma_c.  This is exact because each plane's intercept is
-    gamma_x[l] + gamma_c[r].
+    planes become m*L return-leg cuts
+
+        w - (A0'nu + A1'lam)_j - s - a_l y_j <= gamma_x[l]
+
+    plus R cost-leg cuts with right-hand sides fam.gamma_c.  This is exact
+    because each plane's intercept is gamma_x[l] + gamma_c[r].  A return-leg
+    cut holds 3 + nnz(column j of [A0; A1]) entries: four for a
+    contamination set.  The per-scenario utility level is substituted into
+    the cuts rather than kept as a free variable with a link row (the
+    free-column substitution of Andersen & Andersen, "Presolving in linear
+    programming", 1995), so ``solve`` runs HiGHS without presolve.
     """
     X = scen.scenarios
     m, n = X.shape
@@ -211,7 +218,7 @@ def assemble(
     k_prev = np.asarray(k_prev, dtype=float)
     if k_prev.shape != (n,):
         raise AssemblyError("previous weights length does not match asset count")
-    _check_prev_feasible(con, scen, k_prev)
+    _check_prev_feasible(con, k_prev)
 
     a = fam.a
     b = fam.b
@@ -220,10 +227,10 @@ def assemble(
     layout = DecisionLayout.build(n, m, m0, m1)
     nv = layout.nv
     C = con.cost_vector
-    kp, km, u, z, nu, lam, y = (
+    kp, km, u, nu, lam, y = (
         np.arange(g.start, g.stop)
-        for g in (layout.kp, layout.km, layout.u, layout.z, layout.nu,
-                  layout.lam, layout.y)
+        for g in (layout.kp, layout.km, layout.u, layout.nu, layout.lam,
+                  layout.y)
     )
     k_cols = np.concatenate([kp, km])
 
@@ -231,35 +238,43 @@ def assemble(
         return np.broadcast_to(cols, (rows, cols.size))
 
     # lifted scenario returns: y_j - x^j'(K+ - K-) = 0
-    A_eq = _rows([(np.column_stack([each(k_cols, m), y]),
-                   np.column_stack([-X, X, np.ones(m)]))], nv)
+    A_eq = _rows([_fixed(np.column_stack([each(k_cols, m), y]),
+                         np.column_stack([-X, X, np.ones(m)]))], nv)
 
-    blocks = []
-    rhs = []
-    sections = {}
-    row_at = 0
+    # return-leg cuts (j, l): w - (A0'nu + A1'lam)_j - s - a_l y_j <= gamma_x[l].
+    # Row j of the pattern holds scenario j's entries, ending in y_j (a
+    # placeholder 1); the zeros of column j of [A0; A1] are dropped.  Each
+    # cut gathers its scenario's entries (take) and writes its slope on y_j.
+    pat_cols = np.column_stack([np.full(m, layout.w), each(nu, m), each(lam, m),
+                                np.full(m, layout.s), y])
+    pat_vals = np.column_stack([np.ones(m), -amb.A0.T, -amb.A1.T, -np.ones(m),
+                                np.ones(m)])
+    keep = pat_vals != 0.0
+    per_scenario = keep.sum(axis=1)
+    j = np.repeat(np.arange(m), L)
+    width = per_scenario[j]
+    ends = np.cumsum(width)
+    start = np.cumsum(per_scenario) - per_scenario  # scenario's first entry
+    take = np.repeat(start[j] - (ends - width), width) + np.arange(ends[-1])
+    cut_vals = pat_vals[keep][take]
+    cut_vals[ends - 1] = -np.tile(a, m)
+
+    blocks = [(width, pat_cols[keep][take], cut_vals)]
+    rhs = [np.tile(fam.gamma_x, m)]
+    sections = {"cuts_x": (0, m * L)}
+    row_at = m * L
 
     def push(cols, vals, rvec, name):
         nonlocal row_at
-        blocks.append((cols, vals))
+        blocks.append(_fixed(cols, vals))
         rhs.append(rvec)
         sections[name] = (row_at, row_at + cols.shape[0])
         row_at += cols.shape[0]
 
-    # return-leg cuts (j, l): z_j - s - a_l y_j <= gamma_x[l]
-    z_rows = np.repeat(np.arange(m), L)
-    push(np.column_stack([z[z_rows], np.full(m * L, layout.s), y[z_rows]]),
-         np.column_stack([np.ones(m * L), -np.ones(m * L), -np.tile(a, m)]),
-         np.tile(fam.gamma_x, m), "cuts_x")
     # cost-leg cuts (r): s - b_r C'u <= gamma_c[r]
     push(np.column_stack([each(u, R), np.full(R, layout.s)]),
          np.column_stack([-(b[:, None] * C[None, :]), np.ones(R)]),
          fam.gamma_c, "cuts_c")
-
-    # link rows: w - z_j - (A0'nu + A1'lam)_j <= 0
-    push(np.column_stack([z, np.full(m, layout.w), each(nu, m), each(lam, m)]),
-         np.column_stack([-np.ones(m), np.ones(m), -amb.A0.T, -amb.A1.T]),
-         np.zeros(m), "link")
 
     # leverage: sum(kp + km) <= L
     push(k_cols[None, :], np.ones((1, 2 * n)), np.array([con.leverage]),
@@ -287,7 +302,7 @@ def assemble(
          "cost_limit")
 
     A_ub = _rows(blocks, nv)
-    # zero costs, zero drawdowns and the zeros of A0, A1 are not stored
+    # zero costs and zero drawdowns are not stored
     A_ub.eliminate_zeros()
     b_ub = np.concatenate(rhs)
 
@@ -302,7 +317,6 @@ def assemble(
         [(0.0, None)] * n
         + ([(0.0, None)] * n if con.allow_short else [(0.0, 0.0)] * n)
         + [(0.0, None)] * n
-        + [(None, None)] * m
         + [(None, None)]
         + [(None, None)] * m0
         + [(0.0, None)] * m1
@@ -347,6 +361,9 @@ def solve(model: RobustLpModel) -> LpSolution:
         b_eq=model.b_eq,
         bounds=list(model.bounds),
         method="highs",
+        # assemble makes the free-column substitution presolve would; on
+        # backtest-sized LPs presolve and postsolve cost more than they save
+        options={"presolve": False},
     )
     elapsed = time.perf_counter() - t0
     iterations = int(getattr(res, "nit", 0) or 0)

@@ -103,6 +103,52 @@ def test_infeasible_rebalance_names_period_row_and_section(
     )
 
 
+def crash_market():
+    # two assets drawn from N(0.004, 0.02) with seed 0, and a -70% crash of
+    # both at periods 70 and 75
+    rng = np.random.default_rng(0)
+    returns = rng.normal(0.004, 0.02, size=(2, 120))
+    returns[:, [70, 75]] = -0.7
+    return data_mod.ReturnMatrix(returns=returns, tickers=("A", "B"))
+
+
+def crash_config(c_max, log_utility):
+    return backtest.BacktestConfig(
+        train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,
+        turnover_cost_limit=c_max, gamma=0.3, eps_x=1e-3, eps_c=1e-5,
+        utility=log_utility, allow_short=False,
+    )
+
+
+def test_rebalance_trades_out_of_weights_the_window_cannot_survive(
+        log_utility):
+    # k_prev = (0.75, 0.75) loses 105% in the window's crash; it only sets
+    # the turnover rows, so the LP sells down to what the window survives
+    k_prev = np.array([0.75, 0.75])
+    sol, model, scen = backtest.solve_rebalance(
+        crash_config(0.003, log_utility), crash_market(), 80, k_prev)
+    assert sol.status == "optimal"
+    assert sol.residual <= 1e-9
+    k, diag = robust_lp.extract_weights(sol, model.layout)
+    np.testing.assert_allclose(k, [0.0, 0.0], rtol=0, atol=1e-9)
+    assert diag["turnover_cost"] == pytest.approx(0.0015, abs=1e-12)
+    assert (1.0 + scen.scenarios @ k >= 0.0).all()
+
+
+def test_rebalance_that_cannot_deleverage_is_an_infeasible_lp(log_utility):
+    # a cost limit of 5e-5 lets the LP sell 0.05 of weight, and the 1.45
+    # left loses 101.5% in the crash: no portfolio within the limit survives
+    cfg = crash_config(5e-5, log_utility)
+    sol, model, _ = backtest.solve_rebalance(cfg, crash_market(), 80,
+                                             np.array([0.75, 0.75]))
+    assert sol.status == "infeasible"
+    lo, _ = model.row_sections["cost_limit"]
+    assert backtest.failure_message(80, sol, model) == (
+        "rebalance at period 80 failed with status infeasible; "
+        f"certificate row {lo} in section cost_limit"
+    )
+
+
 def test_cost_charged_once_per_block(log_utility):
     # two rebalance blocks; charge appears in the first period of each block
     rets = constant_market(r=0.001, n=1, T=40)

@@ -145,8 +145,9 @@ def test_partition_budget_below_reach_is_an_input_error(capsys):
 
 
 @pytest.mark.parametrize("utility", [{"kind": "power", "delta": 0.5},
-                                     {"kind": "crra", "theta": 3.0}],
-                         ids=["power", "crra"])
+                                     {"kind": "crra", "theta": 3.0},
+                                     {"kind": "log"}],
+                         ids=["power", "crra", "log"])
 @pytest.mark.parametrize("axis", ["x", "c"])
 def test_partition_sub_resolution_budget_is_an_input_error(
         tmp_path, capsys, utility, axis):

@@ -417,8 +417,9 @@ def test_partition_validation():
 
 
 @pytest.mark.parametrize("u", [SeparableUtility("power", delta=0.5),
-                               SeparableUtility("crra", theta=3.0)],
-                         ids=["power", "crra"])
+                               SeparableUtility("crra", theta=3.0),
+                               SeparableUtility("log")],
+                         ids=["power", "crra", "log"])
 @pytest.mark.parametrize("budget, axis", [((1e-300, 1e-5), "x"),
                                           ((1e-5, 1e-300), "c"),
                                           ((1e-40, 1e-5), "x")],

@@ -59,15 +59,17 @@ def test_row_count_matches_prediction(log_utility):
         model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
         m, n = scen.m, scen.n
         L, R = fam.a.size, fam.b.size
-        # cuts m*L + R, link m, leverage 1, caps n, survival 1,
-        # turnover 2n, cost limit 1
-        expected = m * L + R + m + 1 + (n if holding else 0) + 1 + 2 * n + 1
+        # cuts m*L + R, leverage 1, caps n, survival 1, turnover 2n,
+        # cost limit 1
+        expected = m * L + R + 1 + (n if holding else 0) + 1 + 2 * n + 1
         assert model.n_rows == expected
 
 
 def test_cut_rows_read_the_lifted_returns(log_utility):
-    # each return-leg cut holds z_j, s and y_j only; each scenario's return
-    # is spelled out once, in its equality row y_j - x^j'(K+ - K-) = 0
+    # each return-leg cut holds w, lam_j, s and y_j only: the contamination
+    # set's shift (A1'lam)_j = -lam_j and the scenario return are
+    # substituted in; each scenario's return is spelled out once, in its
+    # equality row y_j - x^j'(K+ - K-) = 0
     rng = np.random.default_rng(3)
     for _ in range(4):
         scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
@@ -76,20 +78,61 @@ def test_cut_rows_read_the_lifted_returns(log_utility):
         m, n, L, lay = scen.m, scen.n, fam.a.size, model.layout
         lo, hi = model.row_sections["cuts_x"]
         cuts = model.A_ub[lo:hi]
-        assert (np.diff(cuts.indptr) == 3).all()
+        assert (np.diff(cuts.indptr) == 4).all()
         j = np.repeat(np.arange(m), L)
         np.testing.assert_array_equal(
-            cuts.indices.reshape(-1, 3),
-            np.column_stack([lay.z.start + j, np.full(m * L, lay.s),
-                             lay.y.start + j]))
-        np.testing.assert_array_equal(cuts.data.reshape(-1, 3)[:, 2],
-                                      -np.tile(fam.a, m))
+            cuts.indices.reshape(-1, 4),
+            np.column_stack([np.full(m * L, lay.w), lay.lam.start + j,
+                             np.full(m * L, lay.s), lay.y.start + j]))
+        np.testing.assert_array_equal(
+            cuts.data.reshape(-1, 4),
+            np.column_stack([np.ones((m * L, 2)), -np.ones(m * L),
+                             -np.tile(fam.a, m)]))
+        np.testing.assert_array_equal(model.b_ub[lo:hi], np.tile(fam.gamma_x, m))
+        assert lay.nv == 3 * n + 1 + m + 1 + m
         assert model.A_eq.shape == (m, lay.nv)
         assert (np.diff(model.A_eq.indptr) == 2 * n + 1).all()
         np.testing.assert_array_equal(model.b_eq, np.zeros(m))
         sol = robust_lp.solve(model)
         np.testing.assert_allclose(sol.x[lay.y], scen.scenarios @ sol.weights,
                                    rtol=0, atol=1e-12)
+
+
+def test_cut_rows_carry_a_general_polytope(log_utility):
+    # A0: a row of ones (d0 = 1); A1: p >= 0 plus one dense moment row
+    # sum_j p_j x_j1 >= mean of x_j1, which the worst case presses on
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        scen, _, con = oracle.random_small_instance(rng, cost_rate=0.002)
+        X, m = scen.scenarios, scen.m
+        amb = dp.PolyhedralAmbiguitySet(
+            A0=np.ones((1, m)), d0=np.ones(1),
+            A1=np.vstack([-np.eye(m), -X[:, 0]]),
+            d1=np.concatenate([np.zeros(m), [-X[:, 0].mean()]]), m=m,
+        )
+        fam = small_family(log_utility, scen, con, 1e-5, 1e-5)
+        k_prev = np.zeros(scen.n)
+        model = robust_lp.assemble(scen, fam, amb, con, k_prev)
+        lay, L = model.layout, fam.a.size
+        lo, hi = model.row_sections["cuts_x"]
+        cuts = model.A_ub[lo:hi]
+        A = np.vstack([amb.A0, amb.A1])
+        j = np.repeat(np.arange(m), L)
+        assert (np.diff(cuts.indptr) == 3 + np.count_nonzero(A, axis=0)[j]).all()
+        dense = np.zeros((m * L, lay.nv))
+        dense[:, lay.w] = 1.0
+        dense[:, lay.nu] = -amb.A0.T[j]
+        dense[:, lay.lam] = -amb.A1.T[j]
+        dense[:, lay.s] = -1.0
+        dense[np.arange(m * L), lay.y.start + j] = -np.tile(fam.a, m)
+        np.testing.assert_array_equal(cuts.toarray(), dense)
+
+        sol = robust_lp.solve(model)
+        assert sol.status == "optimal"
+        assert sol.residual <= 1e-9
+        inner, _ = oracle.inner_worst_case(sol.weights, k_prev, scen, amb,
+                                           log_utility, con.cost_vector)
+        assert -1e-7 <= sol.objective - inner <= 2e-5 + 1e-7
 
 
 def test_decomposed_agrees_with_product(log_utility):
@@ -263,7 +306,7 @@ def test_solve_flags_a_point_that_violates_rows(log_utility, kelly_instance,
         return res
 
     monkeypatch.setattr(robust_lp, "linprog", shifted)
-    # w: every binding link row now fails; y_0: its equality row fails
+    # w: every binding return-leg cut now fails; y_0: its equality row fails
     for target in (model.layout.w, model.layout.y.start):
         sol = robust_lp.solve(model)
         assert sol.status == "numerical"
