@@ -21,7 +21,10 @@ from .utility import SeparableUtility
 
 
 class BacktestError(RuntimeError):
-    """A rebalance could not be solved; names the period and the LP row."""
+    """A rebalance could not be solved, or the account was ruined.
+
+    Names the period and, for an unsolved LP, the row responsible.
+    """
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,9 @@ def account_step(v_prev: float, k, k_prev, x, cost_vector) -> float:
     cost = float(np.abs(k - k_prev) @ np.asarray(cost_vector, dtype=float))
     v = growth * (1.0 - cost) * v_prev
     if v < 0.0:
-        raise RuntimeError(
-            "account went negative despite the constraint set; "
-            "the survival bound was not enforced"
+        raise BacktestError(
+            f"portfolio return {growth - 1.0:.6g} and cost fraction "
+            f"{cost:.6g} take the account below zero"
         )
     return v
 
@@ -205,9 +208,14 @@ def run(config: BacktestConfig, data: ReturnMatrix):
         invested.append(diag["invested_weight"])
         block_end = min(t + config.rebalance_every, T)
         for s in range(t, block_end):
-            values.append(
-                account_step(values[-1], k, k_prev, data.returns[:, s], cost_vector)
-            )
+            try:
+                values.append(account_step(values[-1], k, k_prev,
+                                           data.returns[:, s], cost_vector))
+            except BacktestError as exc:
+                raise BacktestError(
+                    f"account ruined at period {s}: {exc}; the rebalance at "
+                    f"period {t} bounds losses on its training window only"
+                ) from exc
             k_prev = k  # cost charged only on the first period of the block
         t = block_end
     path = AccountPath(

@@ -4,7 +4,10 @@ A concave separable utility f(x, c) = alpha * phi1(x) + beta * phi2(c) is
 approximated from above by tangent planes anchored at partition points of
 the x and c axes.  Partition points are spaced so that the approximation
 error on every interval equals the per-axis budget, which makes the
-partition minimal for that budget.  Because f is additively separable,
+partition minimal for that budget.  For the log family the anchors are
+uniform in log(1 + x) and in -log(1 - c), with one spacing fixed by the
+budget; other families solve each step as two scalar roots with Brent's
+method (scipy's brentq).  Because f is additively separable,
 every plane intercept splits into a return-leg part and a cost-leg part,
 and a family stores only those two vectors.  The module also certifies
 error on dense grids and reproduces the effect of removing a single
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .utility import SeparableUtility
 
@@ -25,6 +29,8 @@ _MAX_POINTS = 1_000_000
 # a budget at or below this multiple of |phi(p)| drowns in the rounding of
 # the phi differences the general recursion solves on
 _RESOLUTION = 16 * np.finfo(float).eps
+# relative tolerance of every root: brentq's floor
+_RTOL = 4 * np.finfo(float).eps
 # plane-by-grid values one certify_error block holds (2 MiB a float array)
 _ENVELOPE_BLOCK = 1 << 18
 
@@ -74,11 +80,6 @@ class Partition:
         if self.axis == "c" and (pts[0] < 0.0 or pts[-1] >= 1.0):
             raise ValueError("c-axis points must lie in [0, 1)")
 
-    @property
-    def M(self) -> int:
-        """Point count."""
-        return int(self.points.size)
-
 
 @dataclass(frozen=True)
 class HyperplaneFamily:
@@ -96,7 +97,6 @@ class HyperplaneFamily:
     gamma_c: np.ndarray
     x_points: np.ndarray
     c_points: np.ndarray
-    budget: ErrorBudget | None = None
 
     @property
     def gamma(self) -> np.ndarray:
@@ -109,26 +109,17 @@ class HyperplaneFamily:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(fn, lo, hi, tol=1e-14, max_iter=200):
-    """Plain bisection on [lo, hi]; fn(lo) and fn(hi) must differ in sign."""
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) <= tol:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _root(fn, lo, hi):
+    """Root of fn on [lo, hi], where fn changes sign, by Brent's method."""
+    # the roots are positive steps: an absolute tolerance would cap the
+    # relative precision of small ones
+    root, info = brentq(fn, lo, hi, xtol=np.finfo(float).tiny, rtol=_RTOL,
+                        full_output=True, disp=False)
+    if not info.converged:
+        raise NumericalError(
+            f"root on [{lo:g}, {hi:g}] did not converge: {info.flag}"
+        )
+    return root
 
 
 def _grow_bracket(fn, hi0, cap=None, want_positive=True):
@@ -206,7 +197,7 @@ def next_point_general(u: SeparableUtility, p: float, eps: float, axis: str = "x
     The step splits into a left part (error of the tangent at p reaches
     eps at p + left) and a right part (the tangent at the new point has
     the same error at the split).  Both parts solve monotone scalar
-    equations by bisection.
+    equations with brentq, each on the bracket _grow_bracket finds.
 
     Parameters
     ----------
@@ -251,7 +242,7 @@ def next_point_general(u: SeparableUtility, p: float, eps: float, axis: str = "x
     except BracketError:
         # tangent at p stays within budget through the whole domain
         return p + cap if cap is not None else math.inf
-    left = _bisect(g, 1e-300, hi)
+    left = _root(g, 0.0, hi)
     split = p + left
 
     def h(step):
@@ -264,70 +255,55 @@ def next_point_general(u: SeparableUtility, p: float, eps: float, axis: str = "x
         hi = _grow_bracket(h, math.sqrt(target), cap=cap_h, want_positive=False)
     except BracketError:
         return p + cap if cap is not None else math.inf
-    right = _bisect(h, 1e-300, hi)
+    right = _root(h, 0.0, hi)
     return split + right
 
 
-def _check_log_budget(eps: float) -> None:
-    # theta(t) = t - log(t) - 1 is a difference of terms near 1: a budget at
-    # or below _RESOLUTION drowns in its rounding, and the step solved for
-    # it is noise
+@lru_cache(maxsize=64)
+def _log_spacing(eps: float) -> float:
+    """Spacing s of the log anchors, in log(1 + x) and in -log(1 - c).
+
+    The tangent of log at y misses log by theta(t) = t - log(t) - 1 at
+    t * y, so neighbouring anchors sit at t_lo < 1 < t_hi from their
+    shared equal-error point, t_lo and t_hi the roots of theta = eps, and
+    s = log(t_hi / t_lo).  With d = t_hi - 1 and v = -log(t_lo) the roots
+    solve d - log1p(d) = eps and v + expm1(-v) = eps: neither subtracts
+    terms near 1, and neither underflows for a large budget.
+    """
     if eps <= _RESOLUTION:
         raise NumericalError(
             f"budget {eps:g} is below the float resolution of the log step"
         )
-
-
-@lru_cache(maxsize=64)
-def _log_step_x(eps_x: float) -> float:
-    """Multiplicative step a with x_next = (1+a)x + a for the log family."""
-    _check_log_budget(eps_x)
-    theta = lambda t: t - math.log(t) - 1.0
-    hi = 1.0 + 10.0 * math.sqrt(2.0 * eps_x)
-    if theta(hi) < eps_x:
-        hi = _grow_bracket(lambda t: theta(t) - eps_x, hi)
-    b_x = _bisect(lambda t: theta(t) - eps_x, 1.0 + 1e-300, hi)
-    g = lambda a: (1.0 + a) / a * math.log1p(a) - b_x
-    hi = _grow_bracket(g, 10.0 * math.sqrt(2.0 * eps_x))
-    return _bisect(g, 1e-300, hi)
-
-
-@lru_cache(maxsize=64)
-def _log_step_c(eps_c: float) -> float:
-    """Contraction step d with c_next = (1-d)c + d for the log family."""
-    _check_log_budget(eps_c)
-    theta = lambda t: t - math.log(t) - 1.0
-    # lower root of theta(t) = eps_c, strictly inside (0, 1)
-    lo = 1.0 - 10.0 * math.sqrt(2.0 * eps_c)
-    if lo <= 0 or theta(lo) < eps_c:
-        lo = 1e-16
-        while theta(lo) < eps_c:
-            lo /= 2.0
-    theta_c = _bisect(lambda t: theta(t) - eps_c, lo, 1.0 - 1e-300)
-    # (1-d)/d * log(1/(1-d)) falls from 1 to 0 as d goes 0 to 1; the log1p
-    # form survives tiny d without cancellation
-    h = lambda d: (1.0 - d) / d * (-math.log1p(-d)) - theta_c
-    return _bisect(h, 1e-300, 1.0 - 1e-12)
+    upper = lambda d: d - math.log1p(d) - eps
+    lower = lambda v: v + math.expm1(-v) - eps
+    # both roots lie below eps + sqrt(2 eps); the bracket growth absorbs
+    # the rounding of that bound
+    hi0 = eps + math.sqrt(2.0 * eps)
+    d = _root(upper, 0.0, _grow_bracket(upper, hi0))
+    v = _root(lower, 0.0, _grow_bracket(lower, hi0))
+    return math.log1p(d) + v
 
 
 def next_point_log(x_p: float, eps_x: float) -> float:
-    """Next anchor for the log return leg: (1 + a) x_p + a, a from the budget."""
+    """Next anchor for the log return leg: 1 + x grows by exp(s)."""
     if eps_x <= 0:
         raise ValueError("eps_x must be positive")
     if x_p <= -1.0:
         raise ValueError("x_p must exceed -1")
-    a = _log_step_x(float(eps_x))
-    return (1.0 + a) * x_p + a
+    try:
+        growth = math.expm1(_log_spacing(float(eps_x)))
+    except OverflowError:
+        growth = math.inf  # a spacing beyond exp's range steps past any box
+    return x_p + growth * (1.0 + x_p)
 
 
 def next_point_log_c(c_q: float, eps_c: float) -> float:
-    """Next anchor for the log cost leg: (1 - d) c_q + d, d from the budget."""
+    """Next anchor for the log cost leg: 1 - c shrinks by exp(-s)."""
     if eps_c <= 0:
         raise ValueError("eps_c must be positive")
     if not 0.0 <= c_q < 1.0:
         raise ValueError("c_q must lie in [0, 1)")
-    d = _log_step_c(float(eps_c))
-    return (1.0 - d) * c_q + d
+    return c_q - math.expm1(-_log_spacing(float(eps_c))) * (1.0 - c_q)
 
 
 def build_partition(
@@ -379,10 +355,7 @@ def build_partition(
 
 
 def build_hyperplanes(
-    u: SeparableUtility,
-    px: Partition,
-    pc: Partition,
-    budget: ErrorBudget | None = None,
+    u: SeparableUtility, px: Partition, pc: Partition
 ) -> HyperplaneFamily:
     """Tangent-plane coefficients for the partition pair.
 
@@ -402,7 +375,6 @@ def build_hyperplanes(
         gamma_c=np.atleast_1d(u.beta * u.phi2(cs) - b * cs),
         x_points=xs,
         c_points=cs,
-        budget=budget,
     )
 
 
@@ -417,7 +389,7 @@ def build_family(
     """Partition both axes for the budget and emit the tangent planes."""
     px = build_partition(u, x_lo, x_hi, budget.eps_x, "x")
     pc = build_partition(u, c_lo, c_hi, budget.eps_c, "c")
-    return build_hyperplanes(u, px, pc, budget)
+    return build_hyperplanes(u, px, pc)
 
 
 def certify_error(

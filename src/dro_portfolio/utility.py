@@ -2,7 +2,7 @@
 
 Three families are supported: log, power, and constant relative risk
 aversion.  phi1 acts on the portfolio return x > -1 and phi2 on the
-turnover cost fraction c in [0, 1).
+turnover cost fraction c in [0, 1); every family's phi2(c) is phi1(-c).
 """
 
 from __future__ import annotations
@@ -92,23 +92,13 @@ class SeparableUtility:
             return self.delta * (1.0 + x) ** (self.delta - 1.0)
         return (1.0 + x) ** (-self.theta)
 
-    # -- phi2: cost leg, domain 0 <= c < 1 ------------------------------
+    # -- phi2: cost leg, domain 0 <= c < 1, the mirror phi1(-c) -----------
 
     def phi2(self, c):
-        c = self._check_c(c)
-        if self.kind == "log":
-            return np.log1p(-c)
-        if self.kind == "power":
-            return (1.0 - c) ** self.delta
-        return (1.0 - c) ** (1.0 - self.theta) / (1.0 - self.theta)
+        return self.phi1(-self._check_c(c))
 
     def phi2_prime(self, c):
-        c = self._check_c(c)
-        if self.kind == "log":
-            return -1.0 / (1.0 - c)
-        if self.kind == "power":
-            return -self.delta * (1.0 - c) ** (self.delta - 1.0)
-        return -((1.0 - c) ** (-self.theta))
+        return -self.phi1_prime(-self._check_c(c))
 
     def eval_f(self, x, c):
         """alpha * phi1(x) + beta * phi2(c)."""

@@ -48,6 +48,15 @@ def kelly_instance():
     return scen, amb, con
 
 
+def crash_market():
+    """Two assets drawn from N(0.004, 0.02) with seed 0 over 120 periods,
+    and a -70% crash of both at periods 70 and 75."""
+    rng = np.random.default_rng(0)
+    returns = rng.normal(0.004, 0.02, size=(2, 120))
+    returns[:, [70, 75]] = -0.7
+    return data_mod.ReturnMatrix(returns=returns, tickers=("A", "B"))
+
+
 def small_family(u, scen, con, budget_x=1e-6, budget_c=1e-6):
     """Hyperplane family on the production approximation box of an instance."""
     x_lo, x_hi, c_hi = robust_lp.approximation_box(scen, con)

@@ -1,10 +1,12 @@
 """Backtest engine: account recursion, metrics, cost accounting, benchmarks."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dro_portfolio import backtest, data as data_mod, oracle, robust_lp
 
-from conftest import with_contradictory_leverage
+from conftest import crash_market, with_contradictory_leverage
 
 
 def constant_market(r=0.002, n=2, T=120):
@@ -26,7 +28,8 @@ def test_account_step_formula():
 
 
 def test_account_step_rejects_negative_wealth():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(backtest.BacktestError,
+                       match="^portfolio return -1.8 and cost fraction 0 "):
         backtest.account_step(
             1.0,
             np.array([2.0]),
@@ -103,15 +106,6 @@ def test_infeasible_rebalance_names_period_row_and_section(
     )
 
 
-def crash_market():
-    # two assets drawn from N(0.004, 0.02) with seed 0, and a -70% crash of
-    # both at periods 70 and 75
-    rng = np.random.default_rng(0)
-    returns = rng.normal(0.004, 0.02, size=(2, 120))
-    returns[:, [70, 75]] = -0.7
-    return data_mod.ReturnMatrix(returns=returns, tickers=("A", "B"))
-
-
 def crash_config(c_max, log_utility):
     return backtest.BacktestConfig(
         train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,
@@ -147,6 +141,29 @@ def test_rebalance_that_cannot_deleverage_is_an_infeasible_lp(log_utility):
         "rebalance at period 80 failed with status infeasible; "
         f"certificate row {lo} in section cost_limit"
     )
+
+
+# the text a ruin at period 70 of the crash market reports
+CRASH_RUIN = (
+    "account ruined at period 70: portfolio return -1.05 and cost fraction 0 "
+    "take the account below zero; the rebalance at period 60 bounds losses on "
+    "its training window only"
+)
+
+
+def test_crash_beyond_the_training_window_is_a_ruin_at_its_period(
+        log_utility):
+    # with gamma 0 and zero cost the rebalance at 60 holds 1.5 of one asset,
+    # which periods 0-59 never saw fall; the crash at 70 takes 105% of it
+    cfg = dataclasses.replace(crash_config(0.0, log_utility), cost_rate=0.0,
+                              gamma=0.0)
+    sol, model, _ = backtest.solve_rebalance(cfg, crash_market(), 60,
+                                             np.zeros(2))
+    k, _ = robust_lp.extract_weights(sol, model.layout)
+    assert k @ crash_market().returns[:, 70] == pytest.approx(-1.05, abs=1e-9)
+    with pytest.raises(backtest.BacktestError) as err:
+        backtest.run(cfg, crash_market())
+    assert str(err.value) == CRASH_RUIN
 
 
 def test_cost_charged_once_per_block(log_utility):

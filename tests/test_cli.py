@@ -5,6 +5,7 @@ writes; one test goes through the installed console script to cover
 the packaging entry point.
 """
 
+import datetime
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from dro_portfolio.ambiguity import from_gamma
 from dro_portfolio.partition import ErrorBudget
 from dro_portfolio.utility import SeparableUtility
 
-from conftest import with_contradictory_leverage
+from conftest import crash_market, with_contradictory_leverage
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "two_regime.csv")
 
@@ -142,6 +143,31 @@ def test_partition_budget_below_reach_is_an_input_error(capsys):
     assert capsys.readouterr().err.startswith(
         "error: x-axis budget 1e-300 cannot be met on [-0.2, 0.2]"
     )
+
+
+@pytest.mark.parametrize("eps_x, eps_c, loose",
+                         [("1e-3", "100", "c"), ("1e-3", "1e3", "c"),
+                          ("800", "1e-3", "x")])
+def test_partition_loose_budget_gives_the_two_point_axis(
+        tmp_path, eps_x, eps_c, loose):
+    out = tmp_path / "out"
+    rc = run_cli(["partition", "--eps-x", eps_x, "--eps-c", eps_c,
+                  "--no-timestamp", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "partition.json").read_text())
+    assert doc[f"M_{loose}"] == 2
+    assert doc["sup_x"] <= float(eps_x) and doc["sup_c"] <= float(eps_c)
+
+
+@pytest.mark.parametrize("axis", ["x", "c"])
+def test_partition_log_budget_at_the_cut_off_is_an_input_error(capsys, axis):
+    # 16 float eps, the last budget the log spacing refuses
+    cut_off = repr(16 * sys.float_info.epsilon)
+    budgets = {"x": "1e-5", "c": "1e-5", axis: cut_off}
+    rc = run_cli(["partition", "--eps-x", budgets["x"], "--eps-c", budgets["c"]])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(
+        f"budget 3.55271e-15 is below the float resolution of the log step\n")
 
 
 @pytest.mark.parametrize("utility", [{"kind": "power", "delta": 0.5},
@@ -285,6 +311,38 @@ def test_backtest_outputs(tmp_path):
     assert len(lines) == 1 + (420 - 60 + 1)
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(v > 0 for v in values)
+
+
+def test_backtest_ruin_is_a_failed_report(tmp_path, capsys):
+    # prices of the crash market; with gamma 0 and zero cost the crash at
+    # period 70, beyond the first training window, ruins the account
+    growth = np.hstack([np.ones((2, 1)), 1.0 + crash_market().returns])
+    prices = 100.0 * np.cumprod(growth, axis=1)
+    day = datetime.date(2020, 1, 1)
+    lines = ["date,A,B"] + [
+        f"{day + datetime.timedelta(days=t)},{a:.17g},{b:.17g}"
+        for t, (a, b) in enumerate(prices.T)
+    ]
+    csv = tmp_path / "crash.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "crash.json"
+    config.write_text(json.dumps({
+        "data": {"csv": str(csv)},
+        "backtest": {"train_window": 60, "rebalance_every": 20},
+        "constraints": {"leverage": 1.5, "cost_rate": 0.0, "c_max": 0.0,
+                        "allow_short": False},
+        "ambiguity": {"gamma": 0.0},
+    }))
+    out = tmp_path / "out"
+    rc = run_cli(["backtest", "--config", str(config), "--no-timestamp",
+                  "--out", str(out)])
+    assert rc == 1
+    doc = json.loads((out / "backtest.json").read_text())
+    assert doc["status"] == "failed"
+    assert doc["error"].startswith(
+        "account ruined at period 70: portfolio return -1.05 and cost "
+        "fraction 0 take the account below zero")
+    assert capsys.readouterr().err == ""
 
 
 def test_backtest_cost_sweep(tmp_path):

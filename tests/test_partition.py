@@ -1,9 +1,12 @@
 """Partition and tangent-plane machinery.
 
 Step-size goldens are recomputed here with scipy.optimize.brentq on the
-defining root equations, independently of the package's own bisection.
+t-form crossing equations, a route independent of the package's one log
+spacing; a 50-digit decimal solve checks that spacing where double
+precision cannot.
 """
 import dataclasses
+import decimal
 import math
 import tracemalloc
 
@@ -38,6 +41,40 @@ def test_log_step_sizes_match_independent_roots():
         assert a_pkg == pytest.approx(oracle_log_step_x(eps), rel=1e-10)
         d_pkg = -(pt.next_point_log_c(0.0, eps) - 0.0) / (0.0 - 1.0)
         assert d_pkg == pytest.approx(oracle_log_step_c(eps), rel=1e-10)
+
+
+def decimal_log_steps(eps):
+    """50-digit next_point_log(0, eps) and next_point_log_c(0, eps).
+
+    Newton on the convex, increasing d - ln(1 + d) - eps and
+    v + exp(-v) - 1 - eps, the upper and lower equal-error roots; the
+    spacing is s = ln(1 + d) + v.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        e, one = decimal.Decimal(eps), decimal.Decimal(1)
+        d = v = (2 * e).sqrt()
+        for _ in range(60):
+            d -= (d - (one + d).ln() - e) * (one + d) / d
+            v -= (v + (-v).exp() - one - e) / (one - (-v).exp())
+        s = (one + d).ln() + v
+        return s.exp() - one, one - (-s).exp()
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-13, 1e-14, 4e-15])
+def test_log_steps_match_a_50_digit_solve(eps):
+    # budgets down to just above the 16 float eps cut-off
+    step_x, step_c = decimal_log_steps(eps)
+    for got, want in ((pt.next_point_log(0.0, eps), step_x),
+                      (pt.next_point_log_c(0.0, eps), step_c)):
+        assert abs(decimal.Decimal(got) - want) <= want * decimal.Decimal(1e-8)
+
+
+def test_unconverged_root_is_a_numerical_error():
+    # a sign change at 1e-300 on [0, 1] needs about 1,000 halvings, beyond
+    # brentq's 100 iterations; build_partition maps the error to bad input
+    with pytest.raises(pt.NumericalError, match="did not converge"):
+        pt._root(lambda t: -1.0 if t < 1e-300 else 1.0, 0.0, 1.0)
 
 
 def test_log_step_asymptotic_scale():
@@ -397,6 +434,11 @@ def test_huge_budget_collapses_to_endpoints(log_utility):
     part = pt.build_partition(log_utility, -0.1, 0.1, 1.0, axis="x")
     assert len(part.points) == 2
     assert part.points[0] == -0.1 and part.points[1] == 0.1
+    # log spacings beyond exp's range, and cost steps that round to c = 1
+    for lo, hi, eps, axis in ((-0.2, 0.2, 800.0, "x"), (0.0, 0.02, 100.0, "c"),
+                              (0.0, 0.02, 1e3, "c")):
+        part = pt.build_partition(log_utility, lo, hi, eps, axis)
+        assert part.points.tolist() == [lo, hi]
 
 
 def test_degenerate_cost_axis():

@@ -121,3 +121,28 @@ def test_from_config_round_trip():
     cfg = {"kind": "power", "alpha": 1.5, "beta": 2.0, "delta": 0.3}
     u = SeparableUtility.from_config(cfg)
     assert u.kind == "power" and u.delta == 0.3 and u.alpha == 1.5
+
+
+@pytest.mark.parametrize(
+    "u, phi2, phi2_prime",
+    [
+        (SeparableUtility("log"), lambda c: np.log1p(-c),
+         lambda c: -1.0 / (1.0 - c)),
+        (SeparableUtility("power", delta=0.37), lambda c: (1.0 - c) ** 0.37,
+         lambda c: -0.37 * (1.0 - c) ** (0.37 - 1.0)),
+        (SeparableUtility("crra", theta=1.7),
+         lambda c: (1.0 - c) ** (1.0 - 1.7) / (1.0 - 1.7),
+         lambda c: -((1.0 - c) ** -1.7)),
+    ],
+    ids=["log", "power", "crra"],
+)
+def test_phi2_mirrors_the_closed_forms_bit_for_bit(u, phi2, phi2_prime):
+    # phi2(c) = phi1(-c) rounds as the closed forms in 1 - c do
+    rng = np.random.default_rng(9)
+    cs = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 20_000)])
+    for got, want in ((u.phi2(cs), phi2(cs)), (u.phi2_prime(cs), phi2_prime(cs))):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # scalars, and the sign of zero at c = 0 (log1p(-0.0) is -0.0)
+    assert math.copysign(1.0, u.phi2(0.0)) == math.copysign(1.0, phi2(0.0))
+    assert u.phi2(0.3) == phi2(0.3) and u.phi2_prime(0.3) == phi2_prime(0.3)
