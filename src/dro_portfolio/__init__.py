@@ -43,15 +43,12 @@ from .partition import (
     build_hyperplanes,
     build_partition,
     certify_error,
-    crossing_point_c,
-    crossing_point_x,
-    error_c,
-    error_x,
+    crossing_point,
     next_point_general,
     next_point_log,
-    next_point_log_c,
     removal_experiment,
     tangency_residual,
+    tangent_error,
 )
 from .robust_lp import (
     AssemblyError,

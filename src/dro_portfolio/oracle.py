@@ -13,17 +13,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from . import robust_lp
 from .ambiguity import PolyhedralAmbiguitySet, from_gamma
 from .data import ScenarioSet
 from .parallel import thread_map
-from .partition import ErrorBudget, HyperplaneFamily, tangency_residual
-# bound at import, so that assemble_product keeps working while it stands
-# in for robust_lp.assemble
-from .robust_lp import TradingConstraintSet, assemble as _assemble
+from .partition import ErrorBudget, tangency_residual
+from .robust_lp import TradingConstraintSet
 from .utility import SeparableUtility
 
 
@@ -137,61 +134,6 @@ def duality_gap(
     if amb.n_ineq:
         dual_val -= float(amb.d1 @ sol.lam)
     return abs(inner - dual_val)
-
-
-# ---------------------------------------------------------------------------
-# product-form reference LP
-# ---------------------------------------------------------------------------
-
-
-def assemble_product(
-    scen: ScenarioSet,
-    fam: HyperplaneFamily,
-    amb: PolyhedralAmbiguitySet,
-    con: TradingConstraintSet,
-    k_prev,
-) -> robust_lp.RobustLpModel:
-    """The rebalance LP with one cut row per (scenario, x-anchor, c-anchor).
-
-    Reference for robust_lp.assemble: its split cut block is replaced by
-    all m*L*R rows w - (A0'nu + A1'lam)_j - a_l K'x^j - b_r C'u <= gamma[l, r],
-    which use the full intercept matrix fam.gamma, and the split's scalar s
-    is pinned to 0.  The cuts read K directly, not the lifted returns y; the
-    equality rows defining y and the remaining rows are shared.  The
-    signature is that of robust_lp.assemble, so the reference can stand in
-    for it.
-    """
-    model = _assemble(scen, fam, amb, con, k_prev)
-    lay = model.layout
-    X, C = scen.scenarios, con.cost_vector
-    m, n = X.shape
-    L, R = fam.a.size, fam.b.size
-    rows = m * L * R
-    A_h = np.zeros((rows, lay.nv))
-    k_coef = np.repeat((fam.a[None, :, None] * X[:, None, :]).reshape(m * L, n),
-                       R, axis=0)
-    A_h[:, lay.kp] = -k_coef
-    A_h[:, lay.km] = k_coef
-    A_h[:, lay.u] = -np.tile(fam.b[:, None] * C[None, :], (m * L, 1))
-    A_h[:, lay.w] = 1.0
-    j = np.repeat(np.arange(m), L * R)
-    A_h[:, lay.nu] = -amb.A0.T[j]
-    A_h[:, lay.lam] = -amb.A1.T[j]
-    kept = model.row_sections["cuts_c"][1]  # the split cut rows come first
-    shift = rows - kept
-    sections = {"cuts": (0, rows)}
-    sections.update({name: (lo + shift, hi + shift)
-                     for name, (lo, hi) in model.row_sections.items()
-                     if lo >= kept})
-    bounds = list(model.bounds)
-    bounds[lay.s] = (0.0, 0.0)
-    return replace(
-        model,
-        A_ub=sp.vstack([sp.csr_matrix(A_h), model.A_ub[kept:]], format="csr"),
-        b_ub=np.concatenate([np.tile(fam.gamma.ravel(), m), model.b_ub[kept:]]),
-        bounds=tuple(bounds),
-        row_sections=sections,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ A concave separable utility f(x, c) = alpha * phi1(x) + beta * phi2(c) is
 approximated from above by tangent planes anchored at partition points of
 the x and c axes.  Partition points are spaced so that the approximation
 error on every interval equals the per-axis budget, which makes the
-partition minimal for that budget.  For the log family the anchors are
+partition minimal for that budget.  The cost leg mirrors the return leg,
+phi2(c) = phi1(-c), so each one-axis operation (tangent error, crossing
+point, next anchor, partition, removal table) is written once and takes
+the axis, "x" or "c", as an argument.  For the log family the anchors are
 uniform in log(1 + x) and in -log(1 - c), with one spacing fixed by the
-budget; other families solve each step as two scalar roots with Brent's
-method (scipy's brentq).  Because f is additively separable,
-every plane intercept splits into a return-leg part and a cost-leg part,
-and a family stores only those two vectors.  The module also certifies
-error on dense grids and reproduces the effect of removing a single
-tangent plane.
+budget over the axis weight; other families solve each step as two
+scalar roots with Brent's method (scipy's brentq).  Because f is
+additively separable, every plane intercept splits into a return-leg part
+and a cost-leg part, and a family stores only those two vectors.  The
+module also certifies error on dense grids and reproduces the effect of
+removing a single tangent plane.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ _MAX_POINTS = 1_000_000
 _RESOLUTION = 16 * np.finfo(float).eps
 # relative tolerance of every root: brentq's floor
 _RTOL = 4 * np.finfo(float).eps
+# exp overflows beyond this argument
+_EXP_MAX = math.log(np.finfo(float).max)
 # plane-by-grid values one certify_error block holds (2 MiB a float array)
 _ENVELOPE_BLOCK = 1 << 18
 
@@ -69,8 +74,7 @@ class Partition:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if self.axis not in ("x", "c"):
-            raise ValueError("axis must be 'x' or 'c'")
+        _sign(self.axis)  # rejects an unknown axis
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("partition needs at least one point")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
@@ -97,11 +101,6 @@ class HyperplaneFamily:
     gamma_c: np.ndarray
     x_points: np.ndarray
     c_points: np.ndarray
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """The L x R intercept matrix gamma_x[l] + gamma_c[r]."""
-        return self.gamma_x[:, None] + self.gamma_c[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +137,47 @@ def _grow_bracket(fn, hi0, cap=None, want_positive=True):
 
 
 # ---------------------------------------------------------------------------
-# pointwise error functions and crossing points
+# the two axes: pointwise errors and crossing points
 # ---------------------------------------------------------------------------
 
 
-def error_x(u: SeparableUtility, x_l: float, x) -> float | np.ndarray:
-    """Gap between the tangent at x_l and alpha*phi1 at x; >= 0 by concavity."""
-    a_l = u.alpha * u.phi1_prime(x_l)
-    return a_l * (np.asarray(x, dtype=float) - x_l) + u.alpha * (
-        u.phi1(x_l) - u.phi1(x)
-    )
+def _sign(axis: str) -> float:
+    """+1 on the return axis "x", -1 on the cost axis: phi2(c) = phi1(-c)."""
+    if axis == "x":
+        return 1.0
+    if axis == "c":
+        return -1.0
+    raise ValueError("axis must be 'x' or 'c'")
 
 
-def error_c(u: SeparableUtility, c_r: float, c) -> float | np.ndarray:
-    """Gap between the tangent at c_r and beta*phi2 at c; >= 0 by concavity."""
-    b_r = u.beta * u.phi2_prime(c_r)
-    return b_r * (np.asarray(c, dtype=float) - c_r) + u.beta * (
-        u.phi2(c_r) - u.phi2(c)
-    )
+def _leg(u: SeparableUtility, axis: str) -> tuple:
+    """(sigma, phi, phi', weight) of the axis's term of f."""
+    sigma = _sign(axis)
+    if sigma > 0:
+        return sigma, u.phi1, u.phi1_prime, u.alpha
+    return sigma, u.phi2, u.phi2_prime, u.beta
 
 
-def _crossing(phi, dphi, p, p_next, order: str):
-    """Where the tangents of phi at p and p_next meet; scalars or arrays."""
+def tangent_error(u: SeparableUtility, p, t, axis: str):
+    """Gap between the axis's weighted term and its tangent at p, at t.
+
+    The term is alpha*phi1 on "x" and beta*phi2 on "c"; the gap is >= 0
+    by concavity.  Floats give a float, arrays broadcast.
+    """
+    _, phi, dphi, w = _leg(u, axis)
+    slope = w * dphi(p)
+    return slope * (np.asarray(t, dtype=float) - p) + w * (phi(p) - phi(t))
+
+
+def crossing_point(u: SeparableUtility, p, p_next, axis: str):
+    """Point in (p, p_next) where the tangents at p and p_next meet.
+
+    There the two tangent errors are equal.  Floats give a float;
+    equal-length arrays give the crossing of every pair (p[i], p_next[i]).
+    """
+    _, phi, dphi, _ = _leg(u, axis)
     if not np.all(np.less(p, p_next)):
-        raise ValueError(f"need {order}")
+        raise ValueError("need p < p_next")
     g_p = dphi(p)
     g_n = dphi(p_next)
     num = g_p * p - g_n * p_next + phi(p_next) - phi(p)
@@ -170,20 +186,6 @@ def _crossing(phi, dphi, p, p_next, order: str):
     if not np.all(np.isfinite(star)):
         raise NumericalError("degenerate slope difference in crossing point")
     return star if np.ndim(star) else float(star)
-
-
-def crossing_point_x(u: SeparableUtility, x_p, x_next):
-    """Point in (x_p, x_next) where the two tangent errors are equal.
-
-    Floats give a float; equal-length arrays give the crossing of every
-    pair (x_p[i], x_next[i]).
-    """
-    return _crossing(u.phi1, u.phi1_prime, x_p, x_next, "x_p < x_next")
-
-
-def crossing_point_c(u: SeparableUtility, c_q, c_next):
-    """c-axis analogue of crossing_point_x."""
-    return _crossing(u.phi2, u.phi2_prime, c_q, c_next, "c_q < c_next")
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +219,9 @@ def next_point_general(u: SeparableUtility, p: float, eps: float, axis: str = "x
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if axis == "x":
-        phi, dphi, scale = u.phi1, u.phi1_prime, u.alpha
-        cap = None
-    elif axis == "c":
-        phi, dphi, scale = u.phi2, u.phi2_prime, u.beta
-        cap = (1.0 - p) - 1e-12
-    else:
-        raise ValueError("axis must be 'x' or 'c'")
-    target = eps / scale
+    sigma, phi, dphi, w = _leg(u, axis)
+    cap = None if sigma > 0 else (1.0 - p) - 1e-12
+    target = eps / w
     slope_p = dphi(p)
     val_p = phi(p)
     if target <= _RESOLUTION * abs(val_p):
@@ -274,6 +270,9 @@ def _log_spacing(eps: float) -> float:
         raise NumericalError(
             f"budget {eps:g} is below the float resolution of the log step"
         )
+    if eps > _EXP_MAX:
+        # the spacing exceeds eps, so exp(s) overflows: the step passes any box
+        return math.inf
     upper = lambda d: d - math.log1p(d) - eps
     lower = lambda v: v + math.expm1(-v) - eps
     # both roots lie below eps + sqrt(2 eps); the bracket growth absorbs
@@ -284,26 +283,23 @@ def _log_spacing(eps: float) -> float:
     return math.log1p(d) + v
 
 
-def next_point_log(x_p: float, eps_x: float) -> float:
-    """Next anchor for the log return leg: 1 + x grows by exp(s)."""
-    if eps_x <= 0:
-        raise ValueError("eps_x must be positive")
-    if x_p <= -1.0:
-        raise ValueError("x_p must exceed -1")
+def next_point_log(p: float, eps: float, axis: str = "x") -> float:
+    """Next log anchor on an axis, for a budget in phi units.
+
+    1 + sigma * p grows by exp(sigma * s) for the spacing s: 1 + x grows
+    by exp(s) on the return axis, and 1 - c shrinks by exp(-s) on the
+    cost axis.
+    """
+    sigma = _sign(axis)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if not (p > -1.0 if sigma > 0 else 0.0 <= p < 1.0):
+        raise ValueError(f"{p:g} is outside the {axis}-axis domain")
     try:
-        growth = math.expm1(_log_spacing(float(eps_x)))
+        growth = math.expm1(sigma * _log_spacing(float(eps)))
     except OverflowError:
         growth = math.inf  # a spacing beyond exp's range steps past any box
-    return x_p + growth * (1.0 + x_p)
-
-
-def next_point_log_c(c_q: float, eps_c: float) -> float:
-    """Next anchor for the log cost leg: 1 - c shrinks by exp(-s)."""
-    if eps_c <= 0:
-        raise ValueError("eps_c must be positive")
-    if not 0.0 <= c_q < 1.0:
-        raise ValueError("c_q must lie in [0, 1)")
-    return c_q - math.expm1(-_log_spacing(float(eps_c))) * (1.0 - c_q)
+    return p + sigma * growth * (1.0 + sigma * p)
 
 
 def build_partition(
@@ -314,9 +310,11 @@ def build_partition(
     Iterates the successive-point recursion from lo; the first generated
     point at or past hi is replaced by hi, so the last interval's error is
     at most the budget.  A degenerate box lo == hi yields a single point.
+    The log step takes the budget in phi units, eps over the axis weight.
     """
     if lo > hi:
         raise ValueError("need lo <= hi")
+    w = _leg(u, axis)[3]
     if lo == hi:
         return Partition(np.array([lo], dtype=float), axis)
     pts = [float(lo)]
@@ -328,11 +326,7 @@ def build_partition(
                     "partition exceeds the point cap; budget too small"
                 )
             if is_log:
-                nxt = (
-                    next_point_log(pts[-1], eps)
-                    if axis == "x"
-                    else next_point_log_c(pts[-1], eps)
-                )
+                nxt = next_point_log(pts[-1], eps / w, axis)
             else:
                 nxt = next_point_general(u, pts[-1], eps, axis)
             if nxt <= pts[-1]:
@@ -461,18 +455,13 @@ def removal_experiment(
     pairs and M - 2 merged pairs are evaluated once, and prefix and suffix
     maxima combine them, so the whole table costs O(M).
     """
-    if axis == "x":
-        pts = fam.x_points
-        err, cross = error_x, crossing_point_x
-    elif axis == "c":
-        pts = fam.c_points
-        err, cross = error_c, crossing_point_c
-    else:
-        raise ValueError("axis must be 'x' or 'c'")
+    pts = fam.x_points if _sign(axis) > 0 else fam.c_points
     if pts.size < 3:
         return np.empty(0)
-    pair = err(u, pts[:-1], cross(u, pts[:-1], pts[1:]))
-    merged = err(u, pts[:-2], cross(u, pts[:-2], pts[2:]))
+    pair = tangent_error(
+        u, pts[:-1], crossing_point(u, pts[:-1], pts[1:], axis), axis)
+    merged = tangent_error(
+        u, pts[:-2], crossing_point(u, pts[:-2], pts[2:], axis), axis)
     zero = np.zeros(1)
     # before[k] = max(0, pair[:k]) and after[k] = max(0, pair[k:])
     before = np.maximum.accumulate(np.concatenate([zero, pair]))

@@ -32,14 +32,11 @@ from dro_portfolio.partition import (
     ErrorBudget,
     build_family,
     certify_error,
-    crossing_point_c,
-    crossing_point_x,
-    error_c,
-    error_x,
+    crossing_point,
     next_point_general,
     next_point_log,
-    next_point_log_c,
     removal_experiment,
+    tangent_error,
 )
 from dro_portfolio.robust_lp import TradingConstraintSet
 from dro_portfolio.utility import SeparableUtility
@@ -122,24 +119,19 @@ def test_criterion_3_partition_consistency():
         c_q = float(rng.uniform(0.0, 0.5))
         eps = float(10.0 ** rng.uniform(-6.0, -3.0))
         general = next_point_general(u, c_q, eps, axis="c")
-        ok &= abs(general - next_point_log_c(c_q, eps)) <= 1e-10
+        ok &= abs(general - next_point_log(c_q, eps, "c")) <= 1e-10
 
     # certified error of each generated interval: the interior ones sit
     # exactly on their budget, the clamped final one may only undershoot
     fam = build_family(u, X_LO, X_HI, 0.0, C_HI, ErrorBudget(1e-5, 1e-5))
-    xs, cs = fam.x_points, fam.c_points
-    for i in range(xs.size - 1):
-        err = float(error_x(u, xs[i], crossing_point_x(u, xs[i], xs[i + 1])))
-        if i < xs.size - 2:
-            ok &= abs(err - 1e-5) <= 1e-9
-        else:
-            ok &= err <= 1e-5 + 1e-9
-    for i in range(cs.size - 1):
-        err = float(error_c(u, cs[i], crossing_point_c(u, cs[i], cs[i + 1])))
-        if i < cs.size - 2:
-            ok &= abs(err - 1e-5) <= 1e-9
-        else:
-            ok &= err <= 1e-5 + 1e-9
+    for axis, pts in (("x", fam.x_points), ("c", fam.c_points)):
+        for i in range(pts.size - 1):
+            star = crossing_point(u, pts[i], pts[i + 1], axis)
+            err = float(tangent_error(u, pts[i], star, axis))
+            if i < pts.size - 2:
+                ok &= abs(err - 1e-5) <= 1e-9
+            else:
+                ok &= err <= 1e-5 + 1e-9
     _report(3, bool(ok))
 
 

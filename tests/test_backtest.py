@@ -4,9 +4,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dro_portfolio import backtest, data as data_mod, oracle, robust_lp
+from dro_portfolio import backtest, data as data_mod, robust_lp
 
 from conftest import crash_market, with_contradictory_leverage
+from reference_lp import assemble_product
 
 
 def constant_market(r=0.002, n=2, T=120):
@@ -337,7 +338,7 @@ def test_forced_decomposition_changes_nothing(two_regime_returns, log_utility,
     )
     p_dec, _ = backtest.run(cfg, two_regime_returns)
     # every rebalance again, on the product-form reference LP
-    monkeypatch.setattr(robust_lp, "assemble", oracle.assemble_product)
+    monkeypatch.setattr(robust_lp, "assemble", assemble_product)
     n = two_regime_returns.returns.shape[0]
     _, model, _ = backtest.solve_rebalance(cfg, two_regime_returns, 60, np.zeros(n))
     assert "cuts" in model.row_sections  # the m*L*R product block

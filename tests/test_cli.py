@@ -147,7 +147,7 @@ def test_partition_budget_below_reach_is_an_input_error(capsys):
 
 @pytest.mark.parametrize("eps_x, eps_c, loose",
                          [("1e-3", "100", "c"), ("1e-3", "1e3", "c"),
-                          ("800", "1e-3", "x")])
+                          ("800", "1e-3", "x"), ("1e308", "1e308", "xc")])
 def test_partition_loose_budget_gives_the_two_point_axis(
         tmp_path, eps_x, eps_c, loose):
     out = tmp_path / "out"
@@ -155,8 +155,26 @@ def test_partition_loose_budget_gives_the_two_point_axis(
                   "--no-timestamp", "--out", str(out)])
     assert rc == 0
     doc = json.loads((out / "partition.json").read_text())
-    assert doc[f"M_{loose}"] == 2
+    for axis in loose:
+        assert doc[f"M_{axis}"] == 2
     assert doc["sup_x"] <= float(eps_x) and doc["sup_c"] <= float(eps_c)
+
+
+def test_partition_weighted_log_stays_within_budget(tmp_path):
+    # the log step divides each budget by its axis weight, as the power
+    # and crra steps do
+    config = tmp_path / "utility.json"
+    config.write_text(json.dumps(
+        {"utility": {"kind": "log", "alpha": 2, "beta": 0.5}}))
+    out = tmp_path / "out"
+    rc = run_cli(["partition", "--config", str(config), "--eps-x", "1e-6",
+                  "--eps-c", "1e-6", "--no-timestamp", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "partition.json").read_text())
+    assert (doc["M_x"], doc["M_c"]) == (204, 7)
+    assert doc["sup_x"] <= 1e-6 and doc["sup_c"] <= 1e-6
+    assert len(doc["removal_table"]) == 207
+    assert all(row["error_violation"] for row in doc["removal_table"])
 
 
 @pytest.mark.parametrize("axis", ["x", "c"])

@@ -39,12 +39,12 @@ def test_log_step_sizes_match_independent_roots():
     for eps in (1e-5, 1e-4, 1e-6):
         a_pkg = pt.next_point_log(0.0, eps)  # first step from 0 equals the ratio
         assert a_pkg == pytest.approx(oracle_log_step_x(eps), rel=1e-10)
-        d_pkg = -(pt.next_point_log_c(0.0, eps) - 0.0) / (0.0 - 1.0)
+        d_pkg = -(pt.next_point_log(0.0, eps, "c") - 0.0) / (0.0 - 1.0)
         assert d_pkg == pytest.approx(oracle_log_step_c(eps), rel=1e-10)
 
 
 def decimal_log_steps(eps):
-    """50-digit next_point_log(0, eps) and next_point_log_c(0, eps).
+    """50-digit next_point_log(0, eps) on the x and on the c axis.
 
     Newton on the convex, increasing d - ln(1 + d) - eps and
     v + exp(-v) - 1 - eps, the upper and lower equal-error roots; the
@@ -66,7 +66,7 @@ def test_log_steps_match_a_50_digit_solve(eps):
     # budgets down to just above the 16 float eps cut-off
     step_x, step_c = decimal_log_steps(eps)
     for got, want in ((pt.next_point_log(0.0, eps), step_x),
-                      (pt.next_point_log_c(0.0, eps), step_c)):
+                      (pt.next_point_log(0.0, eps, "c"), step_c)):
         assert abs(decimal.Decimal(got) - want) <= want * decimal.Decimal(1e-8)
 
 
@@ -96,26 +96,36 @@ def test_log_recursion_is_multiplicative_in_growth():
         x = x_next
 
 
-def test_general_matches_log_closed_form():
-    u = SeparableUtility("log")
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
+def test_general_matches_log_closed_form(alpha, beta):
+    # the log step takes its budget in phi units, eps over the axis weight
+    u = SeparableUtility("log", alpha=alpha, beta=beta)
     rng = np.random.default_rng(5)
     for _ in range(30):
         x_p = float(rng.uniform(-0.5, 1.0))
         eps = float(10 ** rng.uniform(-7, -3))
         assert pt.next_point_general(u, x_p, eps, axis="x") == pytest.approx(
-            pt.next_point_log(x_p, eps), abs=1e-10, rel=1e-10
+            pt.next_point_log(x_p, eps / alpha), abs=1e-10, rel=1e-10
         )
     for _ in range(10):
         c_p = float(rng.uniform(0.0, 0.3))
         eps = float(10 ** rng.uniform(-7, -4))
         assert pt.next_point_general(u, c_p, eps, axis="c") == pytest.approx(
-            pt.next_point_log_c(c_p, eps), abs=1e-10, rel=1e-10
+            pt.next_point_log(c_p, eps / beta, "c"), abs=1e-10, rel=1e-10
         )
+    # build_partition steps log by the closed form, other families by the
+    # general recursion: both give the same anchors
+    for lo, hi, axis in ((-0.2, 0.2, "x"), (0.0, 0.3, "c")):
+        general = [lo]
+        while general[-1] < hi:
+            general.append(min(pt.next_point_general(u, general[-1], 1e-5, axis), hi))
+        np.testing.assert_allclose(pt.build_partition(u, lo, hi, 1e-5, axis).points,
+                                   general, rtol=1e-10, atol=1e-10)
 
 
 def interval_error(u, lo, hi):
     # envelope deficit peaks where the two endpoint tangents cross
-    return float(pt.error_x(u, lo, pt.crossing_point_x(u, lo, hi)))
+    return float(pt.tangent_error(u, lo, pt.crossing_point(u, lo, hi, "x"), "x"))
 
 
 def test_interval_error_equals_budget():
@@ -161,6 +171,16 @@ def test_certified_error_within_budget(log_utility):
     # budget is actually spent: the supremum is close to it, not far below
     assert sup_x >= 0.9e-5
     assert sup_c >= 0.9e-5
+    assert abs(sup_joint - (sup_x + sup_c)) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, 0.5), (0.5, 3.0)])
+def test_weighted_log_family_certifies(alpha, beta):
+    u = SeparableUtility("log", alpha=alpha, beta=beta)
+    fam = dp.build_family(u, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(1e-5, 1e-5))
+    sup_x, sup_c, sup_joint = dp.certify_error(u, fam, grid=1000)
+    assert sup_x <= 1.02e-5
+    assert sup_c <= 1.02e-5
     assert abs(sup_joint - (sup_x + sup_c)) <= 1e-9
 
 
@@ -226,7 +246,7 @@ def joint_sup_by_scan(u, fam, grid):
     xs = np.linspace(fam.x_points[0], fam.x_points[-1], grid)
     cs = np.linspace(fam.c_points[0], fam.c_points[-1], grid)
     f_grid = u.alpha * u.phi1(xs)[:, None] + u.beta * u.phi2(cs)[None, :]
-    gamma = fam.gamma
+    gamma = fam.gamma_x[:, None] + fam.gamma_c[None, :]
     min_h = np.full((grid, grid), np.inf)
     for l in range(fam.a.size):
         for r in range(fam.b.size):
@@ -321,15 +341,12 @@ def test_removal_next_to_clamped_interval_is_smaller(log_utility):
 
 def removal_by_loop(u, fam, which, axis):
     """Reference: delete one point and rescan every surviving pair."""
-    if axis == "x":
-        pts, err, cross = fam.x_points, pt.error_x, pt.crossing_point_x
-    else:
-        pts, err, cross = fam.c_points, pt.error_c, pt.crossing_point_c
+    pts = fam.x_points if axis == "x" else fam.c_points
     kept = np.delete(pts, which)
     sup = 0.0
     for left, right in zip(kept[:-1], kept[1:]):
-        star = cross(u, float(left), float(right))
-        sup = max(sup, float(err(u, float(left), star)))
+        star = pt.crossing_point(u, float(left), float(right), axis)
+        sup = max(sup, float(pt.tangent_error(u, float(left), star, axis)))
     return sup
 
 
@@ -358,13 +375,11 @@ def test_removal_table_matches_the_loop(log_utility):
         pt.Partition(np.sort(rng.uniform(-0.2, 0.2, 40)), "x"),
         pt.Partition(np.sort(rng.uniform(0.0, 0.5, 12)), "c"),
     )
-    for axis, pts, err, cross in (
-        ("x", fam.x_points, pt.error_x, pt.crossing_point_x),
-        ("c", fam.c_points, pt.error_c, pt.crossing_point_c),
-    ):
+    for axis, pts in (("x", fam.x_points), ("c", fam.c_points)):
         table = dp.removal_experiment(log_utility, fam, axis)
         assert np.array_equal(table, removal_table_by_loop(log_utility, fam, axis))
-        merged = err(log_utility, pts[:-2], cross(log_utility, pts[:-2], pts[2:]))
+        star = pt.crossing_point(log_utility, pts[:-2], pts[2:], axis)
+        merged = pt.tangent_error(log_utility, pts[:-2], star, axis)
         assert np.any(table > merged)
     # numpy's pow on arrays and Python's float pow may differ in the last bit
     for u in (SeparableUtility("power", delta=0.5),
@@ -399,7 +414,7 @@ def test_removal_table_of_short_partitions(log_utility):
 def test_crossing_point_between_neighbour_planes(log_utility):
     u = log_utility
     x_l, x_r = 0.0, pt.next_point_log(0.0, 1e-5)
-    xc = pt.crossing_point_x(u, x_l, x_r)
+    xc = pt.crossing_point(u, x_l, x_r, "x")
     assert x_l < xc < x_r
     # tangent lines at the two points intersect where their values agree
     a_l, a_r = u.phi1_prime(x_l), u.phi1_prime(x_r)
@@ -409,11 +424,11 @@ def test_crossing_point_between_neighbour_planes(log_utility):
     # arrays give every pair's crossing through the same formula
     lefts = np.array([x_l, x_r])
     rights = np.array([x_r, pt.next_point_log(x_r, 1e-5)])
-    both = pt.crossing_point_x(u, lefts, rights)
+    both = pt.crossing_point(u, lefts, rights, "x")
     assert both[0] == xc
-    assert both[1] == pt.crossing_point_x(u, x_r, float(rights[1]))
+    assert both[1] == pt.crossing_point(u, x_r, float(rights[1]), "x")
     with pytest.raises(ValueError):
-        pt.crossing_point_x(u, lefts, rights[::-1])
+        pt.crossing_point(u, lefts, rights[::-1], "x")
 
 
 def test_tangent_planes_dominate_the_utility(log_utility):
@@ -424,7 +439,8 @@ def test_tangent_planes_dominate_the_utility(log_utility):
     for _ in range(200):
         x = float(rng.uniform(-0.2, 0.2))
         c = float(rng.uniform(0.0, 0.02))
-        envelope = float((fam.a[:, None] * x + fam.b[None, :] * c + fam.gamma).min())
+        gamma = fam.gamma_x[:, None] + fam.gamma_c[None, :]
+        envelope = float((fam.a[:, None] * x + fam.b[None, :] * c + gamma).min())
         truth = log_utility.eval_f(x, c)
         assert truth <= envelope + 1e-12
         assert envelope - truth <= 2e-5 + 1e-9
@@ -439,6 +455,11 @@ def test_huge_budget_collapses_to_endpoints(log_utility):
                               (0.0, 0.02, 1e3, "c")):
         part = pt.build_partition(log_utility, lo, hi, eps, axis)
         assert part.points.tolist() == [lo, hi]
+    # budgets past the float range of the spacing's root brackets
+    for eps in (1e308, math.inf):
+        for lo, hi, axis in ((-0.2, 0.2, "x"), (0.0, 0.02, "c")):
+            part = pt.build_partition(log_utility, lo, hi, eps, axis)
+            assert part.points.tolist() == [lo, hi]
 
 
 def test_degenerate_cost_axis():
@@ -446,7 +467,26 @@ def test_degenerate_cost_axis():
     fam = dp.build_family(u, -0.1, 0.1, 0.0, 0.0, dp.ErrorBudget(1e-5, 1e-5))
     assert len(fam.c_points) == 1
     assert fam.gamma_c.shape == (1,)
-    assert fam.gamma.shape[1] == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, fam: pt.tangent_error(u, 0.0, 0.01, "q"),
+    lambda u, fam: pt.crossing_point(u, 0.0, 0.01, "q"),
+    lambda u, fam: pt.next_point_log(0.0, 1e-5, "q"),
+    lambda u, fam: pt.next_point_general(u, 0.0, 1e-5, "q"),
+    lambda u, fam: pt.build_partition(u, 0.0, 0.01, 1e-5, "q"),
+    lambda u, fam: pt.removal_experiment(u, fam, "q"),
+    lambda u, fam: pt.Partition(np.array([0.0, 0.01]), "q"),
+], ids=["tangent_error", "crossing_point", "next_point_log",
+        "next_point_general", "build_partition", "removal_experiment",
+        "Partition"])
+def test_unknown_axis_is_refused(log_utility, call):
+    # every point above lies in the domain of both axes
+    fam = dp.build_family(
+        log_utility, -0.2, 0.2, 0.0, 0.02, dp.ErrorBudget(1e-5, 1e-5)
+    )
+    with pytest.raises(ValueError, match="axis must be 'x' or 'c'"):
+        call(log_utility, fam)
 
 
 def test_partition_validation():

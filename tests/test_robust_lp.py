@@ -10,6 +10,7 @@ from dro_portfolio import SolutionStatusError, robust_lp
 from dro_portfolio import oracle
 
 from conftest import small_family, with_contradictory_leverage
+from reference_lp import assemble_product
 
 
 def golden_section_max(fn, lo, hi, tol=1e-12):
@@ -146,7 +147,7 @@ def test_decomposed_agrees_with_product(log_utility):
         scen, amb, con = oracle.random_small_instance(rng, cost_rate=cost)
         k_prev = oracle._sample_feasible_weights(rng, scen, con) * 0.5
         fam = small_family(log_utility, scen, con, 1e-5, 1e-5)
-        mp = oracle.assemble_product(scen, fam, amb, con, k_prev)
+        mp = assemble_product(scen, fam, amb, con, k_prev)
         md = robust_lp.assemble(scen, fam, amb, con, k_prev)
         m, L, R = scen.m, fam.a.size, fam.b.size
         assert mp.n_rows - md.n_rows == m * L * R - (m * L + R)
