@@ -99,6 +99,7 @@ class AccountPath:
     objectives: tuple
     solve_times: tuple
     invested_weights: tuple
+    iterations: tuple = ()  # dual simplex iterations of each rebalance LP
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -149,9 +150,13 @@ def account_step(v_prev: float, k, k_prev, x, cost_vector) -> float:
 
 
 def solve_rebalance(
-    config: BacktestConfig, data: ReturnMatrix, t: int, k_prev: np.ndarray
+    config: BacktestConfig, data: ReturnMatrix, t: int, k_prev: np.ndarray,
+    start=None,
 ):
-    """Build scenarios ending right before period t and solve that LP."""
+    """Build scenarios ending right before period t and solve that LP.
+
+    ``start`` is a basis for ``robust_lp.solve`` to warm-start from.
+    """
     scen = build_scenario_set(data, (t - config.train_window, t))
     sol, model, _ = robust_lp.rebalance(
         scen,
@@ -160,6 +165,7 @@ def solve_rebalance(
         config.utility,
         config.budget,
         k_prev,
+        start,
     )
     return sol, model, scen
 
@@ -181,7 +187,12 @@ def failure_message(t: int, sol: robust_lp.LpSolution,
 
 
 def run(config: BacktestConfig, data: ReturnMatrix):
-    """Walk the sliding-window protocol over the whole return history."""
+    """Walk the sliding-window protocol over the whole return history.
+
+    Each rebalance LP starts from the previous one's optimal basis: the
+    window moves by ``rebalance_every`` periods, so the LPs keep their
+    shape and the old vertex is only a few pivots from the new one.
+    """
     T = data.returns.shape[1]
     n = data.returns.shape[0]
     t0 = config.train_window
@@ -192,13 +203,15 @@ def run(config: BacktestConfig, data: ReturnMatrix):
     values = [1.0]
     k_prev = np.zeros(n)
     rebalances, weights, turnover, costs_paid = [], [], [], []
-    objectives, solve_times, invested = [], [], []
+    objectives, solve_times, invested, iterations = [], [], [], []
+    basis = None
     t = t0
     while t < T:
-        sol, model, scen = solve_rebalance(config, data, t, k_prev)
+        sol, model, scen = solve_rebalance(config, data, t, k_prev, basis)
         if sol.status != "optimal":
             raise BacktestError(failure_message(t, sol, model))
         k, diag = robust_lp.extract_weights(sol, model.layout)
+        basis = sol.basis
         rebalances.append(t)
         weights.append(k.copy())
         turnover.append(diag["turnover_l1"])
@@ -206,6 +219,7 @@ def run(config: BacktestConfig, data: ReturnMatrix):
         objectives.append(sol.objective)
         solve_times.append(sol.solve_time)
         invested.append(diag["invested_weight"])
+        iterations.append(sol.iterations)
         block_end = min(t + config.rebalance_every, T)
         for s in range(t, block_end):
             try:
@@ -228,6 +242,7 @@ def run(config: BacktestConfig, data: ReturnMatrix):
         objectives=tuple(objectives),
         solve_times=tuple(solve_times),
         invested_weights=tuple(invested),
+        iterations=tuple(iterations),
     )
     report = metrics(path, config.periods_per_year, config.risk_free_annual)
     return path, report

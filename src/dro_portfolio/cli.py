@@ -278,6 +278,8 @@ def cmd_backtest(args) -> int:
             "rebalance_every": c.rebalance_every,
         }}
         doc.update(report.to_dict())
+        # deterministic, unlike avg_solve_time: the warm start shows here
+        doc["avg_iterations"] = float(np.mean(path.iterations))
         _emit_json(doc, args, f"backtest{tag}.json")
         if args.out:
             rows = _path_rows(path)

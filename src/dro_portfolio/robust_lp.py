@@ -13,17 +13,21 @@ Nemirovski, Lectures on Modern Convex Optimization, 2001), so a cut row's
 length does not depend on how many assets there are.  The maximizing K
 is the robust portfolio for the polyhedral family of scenario
 probabilities.  ``rebalance`` runs the whole step: approximation box,
-tangent family, assembly and solve.
+tangent family, assembly and solve.  ``solve`` hands the LP to HiGHS's
+dual simplex, optionally starting from the optimal basis of an earlier
+LP of the same shape, such as the previous rebalance of a backtest.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .ambiguity import PolyhedralAmbiguitySet
 from .data import ScenarioSet
@@ -119,13 +123,17 @@ class DecisionLayout:
 
 @dataclass(frozen=True)
 class RobustLpModel:
-    """Sparse inequality and equality rows, bounds, maximization objective."""
+    """Sparse inequality and equality rows, bounds, maximization objective.
+
+    ``bounds`` holds each column's (lower, upper) pair, with -inf and inf
+    for a missing bound.
+    """
 
     A_ub: sp.csr_matrix
     b_ub: np.ndarray
     A_eq: sp.csr_matrix
     b_eq: np.ndarray
-    bounds: tuple
+    bounds: np.ndarray
     c_max_objective: np.ndarray
     layout: DecisionLayout
     row_sections: dict
@@ -138,7 +146,11 @@ class RobustLpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solved rebalance: weights, objective, dual multipliers, diagnostics."""
+    """Solved rebalance: weights, objective, dual multipliers, diagnostics.
+
+    ``basis`` is HiGHS's optimal basis, the ``start`` of a later solve of
+    an LP with the same shape.
+    """
 
     status: str
     weights: np.ndarray | None
@@ -151,6 +163,7 @@ class LpSolution:
     residual: float | None
     certificate_row: int | None
     provenance: dict
+    basis: highs.HighsBasis | None
 
 
 def _check_prev_feasible(con: TradingConstraintSet, k_prev):
@@ -313,16 +326,12 @@ def assemble(
     if m1:
         c_obj[layout.lam] = -amb.d1
 
-    bounds = (
-        [(0.0, None)] * n
-        + ([(0.0, None)] * n if con.allow_short else [(0.0, 0.0)] * n)
-        + [(0.0, None)] * n
-        + [(None, None)]
-        + [(None, None)] * m0
-        + [(0.0, None)] * m1
-        + [(None, None)]
-        + [(None, None)] * m
-    )
+    # K+, K- and u are nonnegative, as are the multipliers lam
+    bounds = np.full((nv, 2), [-np.inf, np.inf])
+    bounds[:layout.w, 0] = 0.0
+    bounds[layout.lam, 0] = 0.0
+    if not con.allow_short:
+        bounds[layout.km, 1] = 0.0
 
     provenance = {
         "cost_vector": C.copy(),
@@ -335,7 +344,7 @@ def assemble(
         b_ub=b_ub,
         A_eq=A_eq,
         b_eq=np.zeros(m),
-        bounds=tuple(bounds),
+        bounds=bounds,
         c_max_objective=c_obj,
         layout=layout,
         row_sections=sections,
@@ -343,9 +352,66 @@ def assemble(
     )
 
 
-def solve(model: RobustLpModel) -> LpSolution:
-    """Solve the assembled LP; deterministic for a fixed model.
+class _HighsResult(NamedTuple):
+    """What ``solve`` reads of one HiGHS run; x and basis only at an optimum."""
 
+    status: highs.HighsModelStatus
+    iterations: int
+    x: np.ndarray | None
+    basis: highs.HighsBasis | None
+
+
+def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
+    """Minimize -c'x over the model's rows and bounds by HiGHS dual simplex.
+
+    The rows [A_ub; A_eq] go to HiGHS as one row-wise matrix with row
+    bounds (-inf, b_ub) and (b_eq, b_eq), through the binding that
+    ``linprog`` calls but without its input checks and conversions; the
+    optimum is the one ``linprog`` returns, bit for bit.  HiGHS starts
+    from ``start`` unless ``setBasis`` refuses it: a basis of another
+    column or row count, or one that is not a basis, leaves the run cold.
+    A HiGHS error reads as kModelError or kSolveError.
+    """
+    A_ub, A_eq = model.A_ub, model.A_eq
+    n_cols = A_ub.shape[1]
+    h = highs._Highs()
+    # dual simplex, HiGHS's default for an LP; assemble makes the free-column
+    # substitution presolve would, and on backtest-sized LPs presolve and
+    # postsolve cost more than they save
+    h.setOptionValue("presolve", "off")
+    h.setOptionValue("output_flag", False)
+    loaded = h.passModel(
+        n_cols, A_ub.shape[0] + A_eq.shape[0], A_ub.nnz + A_eq.nnz,
+        highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize, 0.0,
+        -model.c_max_objective, model.bounds[:, 0], model.bounds[:, 1],
+        np.concatenate([np.full(model.n_rows, -np.inf), model.b_eq]),
+        np.concatenate([model.b_ub, model.b_eq]),
+        np.concatenate([A_ub.indptr[:-1], A_eq.indptr[:-1] + A_ub.nnz]),
+        np.concatenate([A_ub.indices, A_eq.indices]),
+        np.concatenate([A_ub.data, A_eq.data]),
+        # integrality: every column continuous (the binding reads n_cols
+        # entries, so an empty array will not do)
+        np.zeros(n_cols, dtype=np.int32),
+    )
+    if loaded == highs.HighsStatus.kError:
+        return _HighsResult(highs.HighsModelStatus.kModelError, 0, None, None)
+    if start is not None:
+        h.setBasis(start)
+    failed = h.run() == highs.HighsStatus.kError
+    status = highs.HighsModelStatus.kSolveError if failed else h.getModelStatus()
+    iterations = int(h.getInfo().simplex_iteration_count)
+    if status != highs.HighsModelStatus.kOptimal:
+        return _HighsResult(status, iterations, None, None)
+    return _HighsResult(status, iterations, np.array(h.getSolution().col_value),
+                        h.getBasis())
+
+
+def solve(model: RobustLpModel,
+          start: highs.HighsBasis | None = None) -> LpSolution:
+    """Solve the assembled LP; deterministic for a fixed model and start.
+
+    ``start`` is the ``basis`` of an earlier solution; it warm-starts dual
+    simplex when that LP had this one's shape, and is ignored otherwise.
     The status is "optimal", "infeasible" (with the row of an elastic
     infeasibility certificate), "unbounded" or "numerical".  "numerical"
     covers both a HiGHS failure and a returned point whose worst row
@@ -353,39 +419,28 @@ def solve(model: RobustLpModel) -> LpSolution:
     row counts its violation in either direction.
     """
     t0 = time.perf_counter()
-    res = linprog(
-        c=-model.c_max_objective,
-        A_ub=model.A_ub,
-        b_ub=model.b_ub,
-        A_eq=model.A_eq,
-        b_eq=model.b_eq,
-        bounds=list(model.bounds),
-        method="highs",
-        # assemble makes the free-column substitution presolve would; on
-        # backtest-sized LPs presolve and postsolve cost more than they save
-        options={"presolve": False},
-    )
+    res = _run_highs(model, start)
     elapsed = time.perf_counter() - t0
-    iterations = int(getattr(res, "nit", 0) or 0)
     failed = LpSolution(
         status="numerical",
         weights=None,
         objective=None,
         nu=None,
         lam=None,
-        iterations=iterations,
+        iterations=res.iterations,
         solve_time=elapsed,
         x=None,
         residual=None,
         certificate_row=None,
         provenance=model.provenance,
+        basis=None,
     )
-    if res.status == 2:
+    if res.status == highs.HighsModelStatus.kInfeasible:
         return replace(failed, status="infeasible",
                        certificate_row=_diagnose_infeasible(model))
-    if res.status == 3:
+    if res.status == highs.HighsModelStatus.kUnbounded:
         return replace(failed, status="unbounded")
-    if res.status != 0:
+    if res.status != highs.HighsModelStatus.kOptimal:
         return failed
     x = res.x
     lay = model.layout
@@ -400,12 +455,13 @@ def solve(model: RobustLpModel) -> LpSolution:
         objective=float(model.c_max_objective @ x),
         nu=x[lay.nu].copy(),
         lam=x[lay.lam].copy(),
-        iterations=iterations,
+        iterations=res.iterations,
         solve_time=elapsed,
         x=x,
         residual=residual,
         certificate_row=None,
         provenance=model.provenance,
+        basis=res.basis,
     )
 
 
@@ -421,7 +477,7 @@ def _diagnose_infeasible(model: RobustLpModel) -> int | None:
     A_eq = sp.hstack([model.A_eq, sp.csr_matrix((model.A_eq.shape[0], n_rows))],
                      format="csr")
     c = np.concatenate([np.zeros(nv), np.ones(n_rows)])
-    bounds = list(model.bounds) + [(0.0, None)] * n_rows
+    bounds = np.vstack([model.bounds, np.tile([0.0, np.inf], (n_rows, 1))])
     res = linprog(
         c=c, A_ub=A, b_ub=model.b_ub, A_eq=A_eq, b_eq=model.b_eq,
         bounds=bounds, method="highs",
@@ -479,13 +535,15 @@ def rebalance(
     u: SeparableUtility,
     budget: ErrorBudget,
     k_prev,
+    start: highs.HighsBasis | None = None,
 ) -> tuple:
     """One robust rebalance: box, tangent family, LP assembly and solve.
 
-    Returns (solution, model, family); read the weights with
-    ``extract_weights(solution, model.layout)``.
+    ``start`` is passed on to ``solve``.  Returns (solution, model,
+    family); read the weights with ``extract_weights(solution,
+    model.layout)``.
     """
     x_lo, x_hi, c_hi = approximation_box(scen, con)
     fam = build_family(u, x_lo, x_hi, 0.0, c_hi, budget)
     model = assemble(scen, fam, amb, con, k_prev)
-    return solve(model), model, fam
+    return solve(model, start), model, fam

@@ -47,13 +47,13 @@ def assemble_product(scen, fam, amb, con, k_prev) -> RobustLpModel:
     sections.update({name: (lo + shift, hi + shift)
                      for name, (lo, hi) in model.row_sections.items()
                      if lo >= kept})
-    bounds = list(model.bounds)
-    bounds[lay.s] = (0.0, 0.0)
+    bounds = model.bounds.copy()
+    bounds[lay.s] = 0.0
     gamma = fam.gamma_x[:, None] + fam.gamma_c[None, :]
     return replace(
         model,
         A_ub=sp.vstack([sp.csr_matrix(A_h), model.A_ub[kept:]], format="csr"),
         b_ub=np.concatenate([np.tile(gamma.ravel(), m), model.b_ub[kept:]]),
-        bounds=tuple(bounds),
+        bounds=bounds,
         row_sections=sections,
     )

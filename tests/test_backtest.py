@@ -144,6 +144,46 @@ def test_rebalance_that_cannot_deleverage_is_an_infeasible_lp(log_utility):
     )
 
 
+def test_cannot_deleverage_from_the_previous_basis_is_still_infeasible(
+        log_utility):
+    # the rebalance at 60 is optimal and the one at 80 has its shape, so
+    # the one at 80 starts from that basis; the diagnosis stays the same
+    cfg = crash_config(5e-5, log_utility)
+    prev, _, _ = backtest.solve_rebalance(cfg, crash_market(), 60, np.zeros(2))
+    assert prev.status == "optimal"
+    sol, model, _ = backtest.solve_rebalance(cfg, crash_market(), 80,
+                                             np.array([0.75, 0.75]), prev.basis)
+    assert len(prev.basis.col_status) == model.layout.nv
+    assert sol.status == "infeasible"
+    lo, _ = model.row_sections["cost_limit"]
+    assert backtest.failure_message(80, sol, model) == (
+        "rebalance at period 80 failed with status infeasible; "
+        f"certificate row {lo} in section cost_limit"
+    )
+
+
+def test_warm_started_run_matches_cold_rebalances(two_regime_returns,
+                                                  log_utility):
+    # run starts each LP from the previous basis; solve each one cold
+    cfg = backtest.BacktestConfig(
+        train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,
+        turnover_cost_limit=0.02, gamma=0.25, eps_x=1e-3, eps_c=1e-5,
+        utility=log_utility, allow_short=False,
+    )
+    path, _ = backtest.run(cfg, two_regime_returns)
+    n = two_regime_returns.returns.shape[0]
+    k_prevs = (np.zeros(n),) + path.weights[:-1]
+    cold_iterations = 0
+    for t, k_prev, k, objective in zip(path.rebalance_periods, k_prevs,
+                                       path.weights, path.objectives):
+        sol, _, _ = backtest.solve_rebalance(cfg, two_regime_returns, t, k_prev)
+        assert objective == pytest.approx(sol.objective, rel=0, abs=1e-9)
+        np.testing.assert_allclose(k, sol.weights, rtol=0, atol=1e-9)
+        cold_iterations += sol.iterations
+    assert len(path.iterations) == len(path.rebalance_periods) == 18
+    assert sum(path.iterations) < cold_iterations
+
+
 # the text a ruin at period 70 of the crash market reports
 CRASH_RUIN = (
     "account ruined at period 70: portfolio return -1.05 and cost fraction 0 "

@@ -320,6 +320,14 @@ def test_backtest_outputs(tmp_path):
     assert doc["config"]["train_window"] == 60
     assert doc["cumulative_return"] > -1.0
     assert 0.0 <= doc["max_drawdown"] <= 1.0
+    returns = data.append_risk_free(
+        data.compute_returns(data.interpolate_missing(data.load_prices(FIXTURE))),
+        0.02, 252,
+    )
+    cfg = backtest.BacktestConfig.from_config(
+        json.loads((tmp_path / "config.json").read_text()))
+    path, _ = backtest.run(cfg, returns)
+    assert doc["avg_iterations"] == np.mean(path.iterations) > 0
 
     lines = (out / "path.csv").read_text().strip().splitlines()
     assert lines[0] == "period,value,invested_weight"

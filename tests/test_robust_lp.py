@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dro_portfolio as dp
 from dro_portfolio import SolutionStatusError, robust_lp
@@ -298,15 +299,15 @@ def test_solve_flags_a_point_that_violates_rows(log_utility, kelly_instance,
     fam = small_family(log_utility, scen, con, 1e-6, 1e-6)
     model = robust_lp.assemble(scen, fam, amb, con, np.zeros(1))
     assert robust_lp.solve(model).residual <= 1e-9
-    real = robust_lp.linprog
+    real = robust_lp._run_highs
 
     def shifted(*args, **kwargs):
         res = real(*args, **kwargs)
-        res.x = res.x.copy()
-        res.x[target] += 1e-5
-        return res
+        x = res.x.copy()
+        x[target] += 1e-5
+        return res._replace(x=x)
 
-    monkeypatch.setattr(robust_lp, "linprog", shifted)
+    monkeypatch.setattr(robust_lp, "_run_highs", shifted)
     # w: every binding return-leg cut now fails; y_0: its equality row fails
     for target in (model.layout.w, model.layout.y.start):
         sol = robust_lp.solve(model)
@@ -315,6 +316,94 @@ def test_solve_flags_a_point_that_violates_rows(log_utility, kelly_instance,
         assert sol.weights is None
         with pytest.raises(SolutionStatusError):
             robust_lp.extract_weights(sol, model.layout)
+
+
+def test_unbounded_column_is_unbounded():
+    # maximize w, which no row holds: the objective grows without limit
+    lay = robust_lp.DecisionLayout.build(n=1, m=1, m0=0, m1=0)
+    bounds = np.full((lay.nv, 2), [-np.inf, np.inf])
+    bounds[:lay.w, 0] = 0.0
+    objective = np.zeros(lay.nv)
+    objective[lay.w] = 1.0
+    model = robust_lp.RobustLpModel(
+        A_ub=sp.csr_matrix(np.eye(1, lay.nv)), b_ub=np.ones(1),
+        A_eq=sp.csr_matrix((0, lay.nv)), b_eq=np.zeros(0), bounds=bounds,
+        c_max_objective=objective, layout=lay,
+        row_sections={"leverage": (0, 1)}, provenance={},
+    )
+    sol = robust_lp.solve(model)
+    assert sol.status == "unbounded"
+    assert sol.weights is None and sol.basis is None
+
+
+@pytest.mark.parametrize(
+    "status", ["kIterationLimit", "kUnboundedOrInfeasible", "kTimeLimit",
+               "kSolveError", "kModelError"])
+def test_other_highs_statuses_are_numerical(log_utility, kelly_instance,
+                                            monkeypatch, status):
+    scen, amb, con = kelly_instance
+    fam = small_family(log_utility, scen, con, 1e-6, 1e-6)
+    model = robust_lp.assemble(scen, fam, amb, con, np.zeros(1))
+    result = robust_lp._HighsResult(
+        getattr(robust_lp.highs.HighsModelStatus, status), 7, None, None)
+    monkeypatch.setattr(robust_lp, "_run_highs", lambda *a, **k: result)
+    sol = robust_lp.solve(model)
+    assert sol.status == "numerical"
+    assert sol.iterations == 7
+    assert sol.weights is None and sol.certificate_row is None
+    with pytest.raises(SolutionStatusError):
+        robust_lp.extract_weights(sol, model.layout)
+
+
+def warm_start_instance(log_utility, m=40, budget_x=1e-4):
+    rng = np.random.default_rng(3)
+    X = rng.normal(0.002, 0.03, size=(40, 4))[:m]
+    scen = dp.ScenarioSet(scenarios=X, probabilities=np.full(m, 1.0 / m),
+                          x_min=X.min(axis=0), x_max=X.max(axis=0))
+    amb = dp.from_gamma(scen.probabilities, 0.3)
+    con = robust_lp.TradingConstraintSet.uniform(
+        4, leverage=1.5, cost_rate=0.001, turnover_cost_limit=0.01)
+    fam = small_family(log_utility, scen, con, budget_x, 1e-5)
+    return robust_lp.assemble(scen, fam, amb, con, np.zeros(4))
+
+
+def test_start_with_the_same_shape_is_taken(log_utility):
+    model = warm_start_instance(log_utility)
+    cold = robust_lp.solve(model)
+    assert cold.iterations > 0
+    warm = robust_lp.solve(model, cold.basis)
+    assert warm.iterations == 0  # the optimal basis needs no pivot
+    assert warm.objective == pytest.approx(cold.objective, rel=0, abs=1e-12)
+    np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("other", [{"budget_x": 1e-2}, {"m": 30}],
+                         ids=["other-L", "other-m"])
+def test_start_from_another_shape_is_ignored(log_utility, other):
+    model = warm_start_instance(log_utility)
+    start = robust_lp.solve(warm_start_instance(log_utility, **other)).basis
+    assert start.valid and len(start.row_status) != model.n_rows + model.b_eq.size
+    cold = robust_lp.solve(model)
+    sol = robust_lp.solve(model, start)
+    assert sol.status == "optimal"
+    assert sol.objective == cold.objective
+    np.testing.assert_array_equal(sol.weights, cold.weights)
+    assert sol.iterations == cold.iterations
+
+
+def test_start_highs_refuses_is_ignored(log_utility):
+    # the right counts, but every column and row basic: not a basis
+    model = warm_start_instance(log_utility)
+    cold = robust_lp.solve(model)
+    h = robust_lp.highs
+    start = h.HighsBasis()
+    start.col_status = [h.HighsBasisStatus.kBasic] * len(cold.basis.col_status)
+    start.row_status = [h.HighsBasisStatus.kBasic] * len(cold.basis.row_status)
+    start.valid = True
+    sol = robust_lp.solve(model, start)
+    assert sol.objective == cold.objective
+    np.testing.assert_array_equal(sol.x, cold.x)
+    assert sol.iterations == cold.iterations
 
 
 def test_constraint_set_validation():
