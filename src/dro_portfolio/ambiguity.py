@@ -37,8 +37,8 @@ class PolyhedralAmbiguitySet:
     p_hat: np.ndarray | None = None
 
     def __post_init__(self):
-        A0 = np.atleast_2d(np.asarray(self.A0, dtype=float)).reshape(-1, self.m)
-        A1 = np.atleast_2d(np.asarray(self.A1, dtype=float)).reshape(-1, self.m)
+        A0 = _block("A0", self.A0, self.m)
+        A1 = _block("A1", self.A1, self.m)
         d0 = np.asarray(self.d0, dtype=float).reshape(-1)
         d1 = np.asarray(self.d1, dtype=float).reshape(-1)
         if A0.shape[0] != d0.size or A1.shape[0] != d1.size:
@@ -75,6 +75,16 @@ class PolyhedralAmbiguitySet:
     @property
     def n_ineq(self) -> int:
         return self.A1.shape[0]
+
+
+def _block(name: str, A, m: int) -> np.ndarray:
+    """A as rows of length m; a 1-D A is one row, an empty A has no rows."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.size == 0:
+        return A.reshape(0, m)
+    if A.ndim != 2 or A.shape[1] != m:
+        raise ValueError(f"{name} must have m = {m} columns, not shape {A.shape}")
+    return A
 
 
 def from_gamma(p_hat, gamma: float) -> PolyhedralAmbiguitySet:

@@ -8,7 +8,7 @@ proportional cost charged once per weight change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,15 +121,7 @@ class PerformanceReport:
     avg_solve_time: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "cumulative_return": self.cumulative_return,
-            "max_drawdown": self.max_drawdown,
-            "annualized_sharpe": self.annualized_sharpe,
-            "avg_turnover_rate": self.avg_turnover_rate,
-            "avg_invested_weight": self.avg_invested_weight,
-            "avg_optimal_value": self.avg_optimal_value,
-            "avg_solve_time": self.avg_solve_time,
-        }
+        return asdict(self)
 
 
 def account_step(v_prev: float, k, k_prev, x, cost_vector) -> float:
@@ -198,7 +190,7 @@ def run(config: BacktestConfig, data: ReturnMatrix):
     t0 = config.train_window
     if T <= t0:
         raise ValueError("history too short for one training window plus a trade")
-    cost_vector = np.full(n, config.cost_rate)
+    cost_vector = config.trading_constraints(n).cost_vector
 
     values = [1.0]
     k_prev = np.zeros(n)

@@ -71,7 +71,10 @@ class ReturnMatrix:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """m joint return scenarios with empirical weights and per-asset bounds."""
+    """m joint return scenarios with empirical weights and per-asset bounds.
+
+    scenarios is (m, n), probabilities (m,), and x_min, x_max (n,).
+    """
 
     scenarios: np.ndarray
     probabilities: np.ndarray
@@ -88,10 +91,27 @@ class ScenarioSet:
         object.__setattr__(self, "x_min", np.asarray(self.x_min, dtype=float))
         object.__setattr__(self, "x_max", np.asarray(self.x_max, dtype=float))
         object.__setattr__(self, "tickers", tuple(self.tickers))
+        if scen.ndim != 2:
+            raise ValueError(f"scenarios must be an (m, n) array, not {scen.shape}")
+        m, n = scen.shape
+        for name, shape in (("probabilities", (m,)), ("x_min", (n,)),
+                            ("x_max", (n,))):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} must have shape {shape}, not {got}")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must lie on the simplex")
         if np.any(scen <= -1.0):
             raise ValueError("every scenario return must exceed -1")
+
+    @classmethod
+    def uniform(cls, scenarios, tickers=(), risk_free_index=None) -> "ScenarioSet":
+        """Equally likely (m, n) scenarios, bounded by their own per-asset range."""
+        # a window of a return matrix is a strided view; hold it in rows
+        X = np.ascontiguousarray(scenarios, dtype=float)
+        return cls(scenarios=X, probabilities=np.full(len(X), 1.0 / len(X)),
+                   x_min=X.min(axis=0), x_max=X.max(axis=0),
+                   tickers=tickers, risk_free_index=risk_free_index)
 
     @property
     def m(self) -> int:
@@ -222,14 +242,5 @@ def build_scenario_set(returns: ReturnMatrix, window: tuple) -> ScenarioSet:
     n_cols = returns.returns.shape[1]
     if not (0 <= start < stop <= n_cols):
         raise ValueError(f"window {window} out of bounds for {n_cols} columns")
-    block = returns.returns[:, start:stop]
-    m = block.shape[1]
-    scenarios = block.T.copy()
-    return ScenarioSet(
-        scenarios=scenarios,
-        probabilities=np.full(m, 1.0 / m),
-        x_min=block.min(axis=1),
-        x_max=block.max(axis=1),
-        tickers=returns.tickers,
-        risk_free_index=returns.risk_free_index,
-    )
+    return ScenarioSet.uniform(returns.returns[:, start:stop].T,
+                               returns.tickers, returns.risk_free_index)

@@ -46,7 +46,7 @@ def exact_q(u: SeparableUtility, scen: ScenarioSet, k, k_prev, cost_vector):
         return q
     ok = x > -1.0
     if np.any(ok):
-        q[ok] = u.alpha * u.phi1(x[ok]) + u.beta * u.phi2(c)
+        q[ok] = u.eval_f(x[ok], c)
     return q
 
 
@@ -123,17 +123,9 @@ def duality_gap(
     cost_vector = sol.provenance["cost_vector"]
     q = exact_q(u, scen, k, k_prev, cost_vector)
     inner, _ = inner_worst_case(k, k_prev, scen, amb, u, cost_vector)
-    shifted = q.copy()
-    if amb.n_eq:
-        shifted = shifted + amb.A0.T @ sol.nu
-    if amb.n_ineq:
-        shifted = shifted + amb.A1.T @ sol.lam
-    dual_val = float(shifted.min())
-    if amb.n_eq:
-        dual_val -= float(amb.d0 @ sol.nu)
-    if amb.n_ineq:
-        dual_val -= float(amb.d1 @ sol.lam)
-    return abs(inner - dual_val)
+    shifted = q + amb.A0.T @ sol.nu + amb.A1.T @ sol.lam
+    dual = float(shifted.min()) - float(amb.d0 @ sol.nu) - float(amb.d1 @ sol.lam)
+    return abs(inner - dual)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +257,7 @@ def exact_small_solve(
             continue
         if not np.all(valid):
             K, cc, rets = K[:, valid], cc[valid], rets[valid]
-        q = u.alpha * u.phi1(rets) + u.beta * u.phi2(cc)[:, None]
+        q = u.eval_f(rets, cc[:, None])
         if amb.gamma is not None:
             inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * _row_min(q)
         else:
@@ -426,13 +418,7 @@ def random_small_instance(
     """One random scenario set, contamination polytope, and constraint set."""
     n = int(rng.integers(1, n_max + 1))
     m = int(rng.integers(2, m_max + 1))
-    X = rng.uniform(-0.15, 0.18, size=(m, n))
-    scen = ScenarioSet(
-        scenarios=X,
-        probabilities=np.full(m, 1.0 / m),
-        x_min=X.min(axis=0),
-        x_max=X.max(axis=0),
-    )
+    scen = ScenarioSet.uniform(rng.uniform(-0.15, 0.18, size=(m, n)))
     gamma = float(rng.choice(gamma_choices))
     amb = from_gamma(scen.probabilities, gamma)
     con = TradingConstraintSet.uniform(
@@ -548,14 +534,8 @@ def run_all(seed: int = 0, fault: bool = False, suites=None) -> dict:
 
 
 def _make_probe_scenarios(seed: int, n: int = 3, m: int = 12) -> ScenarioSet:
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-0.12, 0.15, size=(m, n))
-    return ScenarioSet(
-        scenarios=X,
-        probabilities=np.full(m, 1.0 / m),
-        x_min=X.min(axis=0),
-        x_max=X.max(axis=0),
-    )
+    X = np.random.default_rng(seed).uniform(-0.12, 0.15, size=(m, n))
+    return ScenarioSet.uniform(X)
 
 
 def _concavity_suite(seed: int) -> dict:

@@ -21,7 +21,7 @@ LP of the same shape, such as the previous rebalance of a backtest.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -144,26 +144,26 @@ class RobustLpModel:
         return int(self.A_ub.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LpSolution:
     """Solved rebalance: weights, objective, dual multipliers, diagnostics.
 
-    ``basis`` is HiGHS's optimal basis, the ``start`` of a later solve of
-    an LP with the same shape.
+    A field left None does not apply to the status.  ``basis`` is HiGHS's
+    optimal basis, the ``start`` of a later solve of an LP of this shape.
     """
 
     status: str
-    weights: np.ndarray | None
-    objective: float | None
-    nu: np.ndarray | None
-    lam: np.ndarray | None
     iterations: int
     solve_time: float
-    x: np.ndarray | None
-    residual: float | None
-    certificate_row: int | None
     provenance: dict
-    basis: highs.HighsBasis | None
+    weights: np.ndarray | None = None
+    objective: float | None = None
+    nu: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    x: np.ndarray | None = None
+    residual: float | None = None
+    certificate_row: int | None = None
+    basis: highs.HighsBasis | None = None
 
 
 def _check_prev_feasible(con: TradingConstraintSet, k_prev):
@@ -236,8 +236,7 @@ def assemble(
     a = fam.a
     b = fam.b
     L, R = a.size, b.size
-    m0, m1 = amb.n_eq, amb.n_ineq
-    layout = DecisionLayout.build(n, m, m0, m1)
+    layout = DecisionLayout.build(n, m, amb.n_eq, amb.n_ineq)
     nv = layout.nv
     C = con.cost_vector
     kp, km, u, nu, lam, y = (
@@ -321,10 +320,8 @@ def assemble(
 
     c_obj = np.zeros(nv)
     c_obj[layout.w] = 1.0
-    if m0:
-        c_obj[layout.nu] = -amb.d0
-    if m1:
-        c_obj[layout.lam] = -amb.d1
+    c_obj[layout.nu] = -amb.d0
+    c_obj[layout.lam] = -amb.d1
 
     # K+, K- and u are nonnegative, as are the multipliers lam
     bounds = np.full((nv, 2), [-np.inf, np.inf])
@@ -420,48 +417,32 @@ def solve(model: RobustLpModel,
     """
     t0 = time.perf_counter()
     res = _run_highs(model, start)
-    elapsed = time.perf_counter() - t0
-    failed = LpSolution(
-        status="numerical",
-        weights=None,
-        objective=None,
-        nu=None,
-        lam=None,
-        iterations=res.iterations,
-        solve_time=elapsed,
-        x=None,
-        residual=None,
-        certificate_row=None,
-        provenance=model.provenance,
-        basis=None,
-    )
+    common = dict(iterations=res.iterations,
+                  solve_time=time.perf_counter() - t0,
+                  provenance=model.provenance)
     if res.status == highs.HighsModelStatus.kInfeasible:
-        return replace(failed, status="infeasible",
-                       certificate_row=_diagnose_infeasible(model))
+        return LpSolution(status="infeasible",
+                          certificate_row=_diagnose_infeasible(model), **common)
     if res.status == highs.HighsModelStatus.kUnbounded:
-        return replace(failed, status="unbounded")
+        return LpSolution(status="unbounded", **common)
     if res.status != highs.HighsModelStatus.kOptimal:
-        return failed
+        return LpSolution(status="numerical", **common)
     x = res.x
-    lay = model.layout
     residual = float(max(np.max(model.A_ub @ x - model.b_ub, initial=0.0),
                          np.max(np.abs(model.A_eq @ x - model.b_eq), initial=0.0)))
     if residual > _RESIDUAL_TOL:
-        return replace(failed, residual=residual)
-    weights = x[lay.kp] - x[lay.km]
+        return LpSolution(status="numerical", residual=residual, **common)
+    lay = model.layout
     return LpSolution(
         status="optimal",
-        weights=weights,
+        weights=x[lay.kp] - x[lay.km],
         objective=float(model.c_max_objective @ x),
         nu=x[lay.nu].copy(),
         lam=x[lay.lam].copy(),
-        iterations=res.iterations,
-        solve_time=elapsed,
         x=x,
         residual=residual,
-        certificate_row=None,
-        provenance=model.provenance,
         basis=res.basis,
+        **common,
     )
 
 
@@ -540,8 +521,9 @@ def rebalance(
     """One robust rebalance: box, tangent family, LP assembly and solve.
 
     ``start`` is passed on to ``solve``.  Returns (solution, model,
-    family); read the weights with ``extract_weights(solution,
-    model.layout)``.
+    family).  The weights are ``solution.weights``; ``extract_weights(
+    solution, model.layout)`` returns them with the turnover, cost,
+    leverage and investment diagnostics.
     """
     x_lo, x_hi, c_hi = approximation_box(scen, con)
     fam = build_family(u, x_lo, x_hi, 0.0, c_hi, budget)

@@ -78,6 +78,25 @@ def test_infeasible_polyhedron_rejected():
         )
 
 
+def test_block_of_another_scenario_count_is_rejected():
+    # a (2, 6) block built for six scenarios must not pass as a (4, 3) one
+    with pytest.raises(ValueError, match="A1"):
+        PolyhedralAmbiguitySet(
+            A0=np.zeros((0, 3)), d0=np.zeros(0),
+            A1=np.ones((2, 6)), d1=np.ones(4), m=3,
+        )
+    with pytest.raises(ValueError, match="A0"):
+        PolyhedralAmbiguitySet(
+            A0=np.ones((1, 2)), d0=np.ones(1),
+            A1=np.zeros((0, 3)), d1=np.zeros(0), m=3,
+        )
+    # a 1-D row of length m is one row; empty blocks have no rows
+    amb = PolyhedralAmbiguitySet(
+        A0=np.ones(3), d0=np.ones(1), A1=np.zeros(0), d1=np.zeros(0), m=3,
+    )
+    assert amb.A0.shape == (1, 3) and amb.A1.shape == (0, 3)
+
+
 def test_custom_polyhedron_membership():
     # simplex slice: p_1 >= 0.25
     amb = PolyhedralAmbiguitySet(

@@ -122,6 +122,26 @@ def test_build_scenario_set_window(tmp_path):
     np.testing.assert_allclose(scen.scenarios, returns[:, 3:8].T)
     np.testing.assert_allclose(scen.x_min, returns[:, 3:8].min(axis=1))
     np.testing.assert_allclose(scen.x_max, returns[:, 3:8].max(axis=1))
+    # the window is the equally weighted set of its block, bit for bit
+    same = data_mod.ScenarioSet.uniform(returns[:, 3:8].T, ("A", "B"))
+    for field in ("scenarios", "probabilities", "x_min", "x_max"):
+        np.testing.assert_array_equal(getattr(scen, field), getattr(same, field))
+    assert scen.tickers == same.tickers
+    assert scen.risk_free_index == same.risk_free_index
+
+
+def test_scenario_set_field_shapes_are_checked():
+    X = np.array([[0.01, -0.02], [0.03, 0.0], [-0.01, 0.02]])
+    good = dict(scenarios=X, probabilities=np.full(3, 1.0 / 3),
+                x_min=X.min(axis=0), x_max=X.max(axis=0))
+    data_mod.ScenarioSet(**good)
+    for field, value in (("x_min", X.min(axis=0)[:1]),
+                         ("x_min", np.zeros(3)),
+                         ("x_max", np.ones(3)),
+                         ("probabilities", np.full(2, 0.5)),
+                         ("scenarios", X.ravel())):
+        with pytest.raises(ValueError, match=field):
+            data_mod.ScenarioSet(**dict(good, **{field: value}))
 
 
 def test_return_matrix_validation():

@@ -135,6 +135,9 @@ def test_cut_rows_carry_a_general_polytope(log_utility):
         inner, _ = oracle.inner_worst_case(sol.weights, k_prev, scen, amb,
                                            log_utility, con.cost_vector)
         assert -1e-7 <= sol.objective - inner <= 2e-5 + 1e-7
+        # the dual value reads nu off the equality row as well as lam
+        gap = oracle.duality_gap(sol.weights, sol, scen, amb, log_utility)
+        assert gap <= 1e-6 + 2e-5
 
 
 def test_decomposed_agrees_with_product(log_utility):
