@@ -183,7 +183,9 @@ def run(config: BacktestConfig, data: ReturnMatrix):
 
     Each rebalance LP starts from the previous one's optimal basis: the
     window moves by ``rebalance_every`` periods, so the LPs keep their
-    shape and the old vertex is only a few pivots from the new one.
+    shape and the old vertex is only a few pivots from the new one.  An
+    LP whose return-leg cuts ``robust_lp.solve`` adds on demand starts
+    cold and passes no basis on.
     """
     T = data.returns.shape[1]
     n = data.returns.shape[0]

@@ -161,6 +161,56 @@ def test_decomposed_agrees_with_product(log_utility):
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("budget_x", [1e-4, 1e-5, 1e-6])
+def test_on_demand_cuts_agree_with_the_whole_lp(log_utility, monkeypatch,
+                                                budget_x):
+    # 14 to 196 planes per scenario: the cuts added on demand reach the
+    # optimum of the LP that holds them all.  A held row meets HiGHS's
+    # primal tolerance, so the whole-model residual is bounded by it; on
+    # this draw it is at most 6.1e-9, and below 1e-16 on 17 of 18 LPs
+    rng = np.random.default_rng(29)
+    for i in range(6):
+        scen, amb, con = oracle.random_small_instance(
+            rng, cost_rate=0.002 if i % 2 else 0.0)
+        k_prev = oracle._sample_feasible_weights(rng, scen, con) * 0.5
+        fam = small_family(log_utility, scen, con, budget_x, 1e-5)
+        model = robust_lp.assemble(scen, fam, amb, con, k_prev)
+        m, L = scen.m, fam.a.size
+        assert robust_lp._WHOLE_MAX_L < L <= 200
+        demand = robust_lp.solve(model)
+        with monkeypatch.context() as mp:
+            mp.setattr(robust_lp, "_WHOLE_MAX_L", 10**9)
+            whole = robust_lp.solve(model)
+        assert demand.status == whole.status == "optimal"
+        assert demand.objective == pytest.approx(whole.objective, rel=0,
+                                                 abs=1e-9)
+        assert demand.residual <= robust_lp._CUT_TOL
+        assert whole.rows_held == model.n_rows + m
+        assert demand.rows_held < whole.rows_held
+        assert demand.basis is None and whole.basis is not None
+
+
+def test_on_demand_lp_holds_fewer_than_all_cuts(log_utility, monkeypatch):
+    rng = np.random.default_rng(31)
+    scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
+    fam = small_family(log_utility, scen, con, 1e-6, 1e-5)
+    model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
+    m, L = scen.m, fam.a.size
+    sol = robust_lp.solve(model)
+    assert sol.status == "optimal"
+    # every row outside cuts_x, the m equality rows, and at least one cut
+    # per scenario
+    cuts_held = sol.rows_held - (model.n_rows - m * L) - m
+    assert m <= cuts_held < m * L
+    # the whole LP's optimal basis is ignored: the same run, bit for bit
+    with monkeypatch.context() as mp:
+        mp.setattr(robust_lp, "_WHOLE_MAX_L", 10**9)
+        basis = robust_lp.solve(model).basis
+    with_start = robust_lp.solve(model, basis)
+    assert with_start.iterations == sol.iterations
+    np.testing.assert_array_equal(with_start.x, sol.x)
+
+
 def test_turnover_epigraph_is_tight(log_utility):
     rng = np.random.default_rng(5)
     scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.004)
@@ -259,6 +309,7 @@ def test_infeasible_model_reports_certificate_row(log_utility, kelly_instance):
     scen, amb, con = kelly_instance
     fam = small_family(log_utility, scen, con, 1e-6, 1e-6)
     model = robust_lp.assemble(scen, fam, amb, con, np.zeros(1))
+    assert fam.a.size > robust_lp._WHOLE_MAX_L  # cuts added on demand
     # doctor the leverage row into a contradiction: sum of non-negative
     # magnitudes <= -1
     rows = model.row_sections["leverage"]
