@@ -184,8 +184,9 @@ def run(config: BacktestConfig, data: ReturnMatrix):
     Each rebalance LP starts from the previous one's optimal basis: the
     window moves by ``rebalance_every`` periods, so the LPs keep their
     shape and the old vertex is only a few pivots from the new one.  An
-    LP whose return-leg cuts ``robust_lp.solve`` adds on demand starts
-    cold and passes no basis on.
+    LP whose return-leg cuts ``robust_lp.solve`` adds on demand takes that
+    basis only when it first holds as many rows, and starts cold
+    otherwise.
     """
     T = data.returns.shape[1]
     n = data.returns.shape[0]

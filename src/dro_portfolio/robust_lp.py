@@ -14,13 +14,14 @@ length does not depend on how many assets there are.  The maximizing K
 is the robust portfolio for the polyhedral family of scenario
 probabilities.  ``rebalance`` runs the whole step: approximation box,
 tangent family, assembly and solve.  ``solve`` hands the LP to HiGHS's
-dual simplex.  With at most _WHOLE_MAX_L return-leg cuts per scenario it
-solves the whole LP, optionally starting from the optimal basis of an
-earlier LP of the same shape, such as the previous rebalance of a
-backtest.  With more, it adds the cuts on demand: each scenario starts
-with one plane, and a round adds the plane each scenario violates most,
-until none is violated; that optimum is the whole LP's, held in a few
-rows per scenario.  An on-demand solve always starts cold.
+dual simplex, which holds every return-leg cut from the start when a
+scenario has at most _WHOLE_MAX_L of them.  With more, it adds the cuts
+on demand: each scenario starts with one plane, and a round adds the
+plane each scenario violates most, until none is violated; that optimum
+is the whole LP's, held in a few rows per scenario.  Either way a solve
+may start from the optimal basis of an earlier one, such as the previous
+rebalance of a backtest; HiGHS takes it when it has the column and row
+counts of the LP HiGHS first holds, and starts cold otherwise.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ from .utility import SeparableUtility
 _RESIDUAL_TOL = 1e-6
 # a cut violated by more than HiGHS's primal tolerance joins the held rows
 _CUT_TOL = 1e-7
-# the most return-leg cuts per scenario that a whole, warm-startable solve
-# takes; above it the cuts are added on demand.  Over backtests of 60 LPs
-# with n = 11, m = 60 (2-vCPU machine), the whole solve, warm-started, took
-# 3.1 against 3.8 ms per LP on demand at L 6-7, 3.8 against 4.1 ms at L 9,
-# 4.4 against 3.9 ms at L 11-13 and 5.6 against 4.0 ms at L 14-16
+# the most return-leg cuts per scenario that HiGHS holds from the start;
+# above it each scenario starts with one, and the rest come on demand.  Over
+# backtests of 60 LPs with n = 11, m = 60 (2-vCPU machine), the whole solve,
+# warm-started, took 3.1 against 3.8 ms per LP on demand (cold) at L 6-7,
+# 3.8 against 4.1 ms at L 9, 4.4 against 3.9 ms at L 11-13 and 5.6 against
+# 4.0 ms at L 14-16
 _WHOLE_MAX_L = 12
 
 
@@ -162,10 +164,10 @@ class LpSolution:
     """Solved rebalance: weights, objective, dual multipliers, diagnostics.
 
     A field left None does not apply to the status.  ``basis`` is HiGHS's
-    optimal basis, the ``start`` of a later solve of an LP of this shape;
-    a solve that added its return-leg cuts on demand has none.
-    ``rows_held`` counts the rows HiGHS held when it stopped, equality
-    rows included: n_rows + m for a whole solve, fewer on demand.
+    optimal basis over the rows it held, the ``start`` of a later solve
+    that first holds as many.  ``rows_held`` counts the rows HiGHS held
+    when it stopped, equality rows included: n_rows + m for a whole
+    solve, fewer on demand.
     """
 
     status: str
@@ -369,7 +371,7 @@ def assemble(
 class _HighsResult(NamedTuple):
     """What ``solve`` reads of one HiGHS run; x only at an optimum.
 
-    ``basis`` is the optimal basis of a whole solve; ``rows`` counts the
+    ``basis`` is the optimal basis over the held rows; ``rows`` counts the
     rows HiGHS held when it stopped, equality rows included.
     """
 
@@ -386,35 +388,32 @@ def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
     The rows [A_ub; A_eq] go to HiGHS as one row-wise matrix with row
     bounds (-inf, b_ub) and (b_eq, b_eq), through the binding that
     ``linprog`` calls but without its input checks and conversions; the
-    optimum is the one ``linprog`` returns, bit for bit.  HiGHS starts
-    from ``start`` unless ``setBasis`` refuses it: a basis of another
-    column or row count, or one that is not a basis, leaves the run cold.
-    A HiGHS error reads as kModelError or kSolveError.
+    optimum is the one ``linprog`` returns, bit for bit.  A HiGHS error
+    reads as kModelError or kSolveError.
 
-    A model with more than _WHOLE_MAX_L return-leg cuts per scenario
-    (section ``cuts_x``) is solved by row generation instead (Kelley, "The
-    cutting-plane method for solving convex programs", 1960).  HiGHS first
-    holds every other row and, for each scenario, its plane lowest at
-    y = 0.  After each optimum, every scenario's most violated cut is
-    added, when it is violated by more than _CUT_TOL and not yet held, and
-    dual simplex continues from the current basis; the loop ends at the
-    first optimum that adds no row.  The held rows relax the model, so an
-    infeasible or unbounded run means the same for the whole LP.  Such a
-    solve starts cold, returns no basis and sums its iterations over the
-    rounds.
+    Every solve is one cutting-plane loop (Kelley, "The cutting-plane
+    method for solving convex programs", 1960) over the return-leg cuts
+    (section ``cuts_x``).  HiGHS first holds every other row and all the
+    cuts, or, above _WHOLE_MAX_L per scenario, each scenario's plane
+    lowest at y = 0.  It starts from ``start`` unless ``setBasis`` refuses
+    it: a basis of another column or row count, or one that is not a
+    basis, leaves the run cold.  After each optimum, every scenario's most
+    violated cut is added, when it is violated by more than _CUT_TOL and
+    not yet held, and dual simplex continues from the current basis.  The
+    loop ends at the first optimum that adds no row and returns its basis;
+    the iterations sum over the rounds.  The held rows relax the model, so
+    an infeasible or unbounded run means the same for the whole LP.
     """
     A_ub, A_eq, b_ub = model.A_ub, model.A_eq, model.b_ub
     m = model.b_eq.size
     lo, hi = model.row_sections.get("cuts_x", (0, 0))
-    on_demand = hi - lo > _WHOLE_MAX_L * m
-    if on_demand:
-        start = None
-        cuts = A_ub[lo:hi]
-        cut_rows = np.arange(lo, hi).reshape(m, -1)
-        each = np.arange(m)
+    cuts = None
+    if hi - lo > _WHOLE_MAX_L * m:
+        first = np.arange(lo, hi, (hi - lo) // m)  # each scenario's first cut
         held = np.ones(model.n_rows, dtype=bool)
         held[lo:hi] = False
-        held[cut_rows[each, np.argmin(b_ub[lo:hi].reshape(m, -1), axis=1)]] = True
+        held[first + np.argmin(b_ub[lo:hi].reshape(m, -1), axis=1)] = True
+        cuts = A_ub[lo:hi]
         A_ub, b_ub = A_ub[held], b_ub[held]
     n_cols = A_ub.shape[1]
     h = highs._Highs()
@@ -450,15 +449,14 @@ def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
         if status != highs.HighsModelStatus.kOptimal:
             return _HighsResult(status, iterations, None, None, h.getNumRow())
         x = np.array(h.getSolution().col_value)
-        if not on_demand:
+        if cuts is not None:
+            violation = (cuts @ x - model.b_ub[lo:hi]).reshape(m, -1)
+            add = (first + np.argmax(violation, axis=1))[
+                violation.max(axis=1) > _CUT_TOL]
+            add = add[~held[add]]
+        if cuts is None or add.size == 0:
             return _HighsResult(status, iterations, x, h.getBasis(),
                                 h.getNumRow())
-        violation = (cuts @ x - model.b_ub[lo:hi]).reshape(m, -1)
-        worst = np.argmax(violation, axis=1)
-        add = cut_rows[each, worst][violation[each, worst] > _CUT_TOL]
-        add = add[~held[add]]
-        if add.size == 0:
-            return _HighsResult(status, iterations, x, None, h.getNumRow())
         held[add] = True
         new = model.A_ub[add]
         h.addRows(add.size, np.full(add.size, -np.inf), model.b_ub[add],
@@ -470,11 +468,11 @@ def solve(model: RobustLpModel,
     """Solve the assembled LP; deterministic for a fixed model and start.
 
     ``start`` is the ``basis`` of an earlier solution; it warm-starts dual
-    simplex when that LP had this one's shape, and is ignored otherwise.
-    A model with more than _WHOLE_MAX_L return-leg cuts per scenario adds
-    them on demand (``_run_highs``): it ignores ``start``, returns no
-    ``basis``, and its ``iterations`` sum all rounds.  The residual below
-    is always taken over the whole model.
+    simplex when it has the column count and the row count that HiGHS
+    first holds, and is ignored otherwise.  A model with more than
+    _WHOLE_MAX_L return-leg cuts per scenario adds them on demand
+    (``_run_highs``), and its ``iterations`` sum all rounds.  The residual
+    below is always taken over the whole model.
     The status is "optimal", "infeasible" (with the row of an elastic
     infeasibility certificate), "unbounded" or "numerical".  "numerical"
     covers both a HiGHS failure and a returned point whose worst row
@@ -515,27 +513,26 @@ def solve(model: RobustLpModel,
 def _diagnose_infeasible(model: RobustLpModel) -> int | None:
     """Elastic relaxation; the first row needing slack indexes the conflict.
 
-    Only the inequality rows outside the cut sections get slack: the
-    equality rows define the free lifted returns y and can always be met,
-    and lowering the free w and s, which no other row holds, meets every
-    cut.  The row returned is in model numbering.
+    The elastic LP holds the equality rows, which define the free lifted
+    returns y and can always be met, and every inequality row outside the
+    two cut sections, each with a slack.  Cut rows need no slack and are
+    left out: lowering the free w and s, which no other row holds, meets
+    every cut.  The row returned is in model numbering.
     """
-    n_rows = model.n_rows
     nv = model.layout.nv
-    elastic = np.ones(n_rows, dtype=bool)
+    elastic = np.ones(model.n_rows, dtype=bool)
     for name in ("cuts_x", "cuts_c"):
         lo, hi = model.row_sections.get(name, (0, 0))
         elastic[lo:hi] = False
     rows = np.flatnonzero(elastic)
     k = rows.size
-    slack = sp.csr_matrix((-np.ones(k), (rows, np.arange(k))), shape=(n_rows, k))
-    A = sp.hstack([model.A_ub, slack], format="csr")
+    A = sp.hstack([model.A_ub[rows], -sp.eye(k)], format="csr")
     A_eq = sp.hstack([model.A_eq, sp.csr_matrix((model.A_eq.shape[0], k))],
                      format="csr")
     c = np.concatenate([np.zeros(nv), np.ones(k)])
     bounds = np.vstack([model.bounds, np.tile([0.0, np.inf], (k, 1))])
     res = linprog(
-        c=c, A_ub=A, b_ub=model.b_ub, A_eq=A_eq, b_eq=model.b_eq,
+        c=c, A_ub=A, b_ub=model.b_ub[rows], A_eq=A_eq, b_eq=model.b_eq,
         bounds=bounds, method="highs",
     )
     if res.status != 0:
@@ -594,12 +591,11 @@ def rebalance(
 ) -> tuple:
     """One robust rebalance: box, tangent family, LP assembly and solve.
 
-    ``start`` is passed on to ``solve``, which ignores it, and returns no
-    ``basis``, when the family has more than _WHOLE_MAX_L planes on the
-    return axis and the cuts are added on demand.  Returns (solution,
-    model, family).  The weights are ``solution.weights``; ``extract_weights(
-    solution, model.layout)`` returns them with the turnover, cost,
-    leverage and investment diagnostics.
+    ``start`` is passed on to ``solve``, which warm-starts from it when
+    its row and column counts match the LP HiGHS first holds.  Returns
+    (solution, model, family).  The weights are ``solution.weights``;
+    ``extract_weights(solution, model.layout)`` returns them with the
+    turnover, cost, leverage and investment diagnostics.
     """
     x_lo, x_hi, c_hi = approximation_box(scen, con)
     fam = build_family(u, x_lo, x_hi, 0.0, c_hi, budget)

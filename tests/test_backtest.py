@@ -146,15 +146,25 @@ def test_rebalance_that_cannot_deleverage_is_an_infeasible_lp(log_utility):
 
 def test_cannot_deleverage_from_the_previous_basis_is_still_infeasible(
         log_utility):
-    # the rebalance at 60 is optimal and the one at 80 has its shape, so
-    # the one at 80 starts from that basis; the diagnosis stays the same
-    cfg = crash_config(5e-5, log_utility)
-    prev, _, _ = backtest.solve_rebalance(cfg, crash_market(), 60, np.zeros(2))
+    # a looser cost limit makes the period-80 LP optimal without changing
+    # its shape: a coarse eps_x keeps its 11 planes per scenario in one
+    # whole solve, so the tight LP starts from that basis; the diagnosis
+    # stays the same
+    k_prev = np.array([0.75, 0.75])
+    prev, _, _ = backtest.solve_rebalance(
+        dataclasses.replace(crash_config(0.003, log_utility), eps_x=0.3),
+        crash_market(), 80, k_prev)
     assert prev.status == "optimal"
-    sol, model, _ = backtest.solve_rebalance(cfg, crash_market(), 80,
-                                             np.array([0.75, 0.75]), prev.basis)
+    cfg = dataclasses.replace(crash_config(5e-5, log_utility), eps_x=0.3)
+    sol, model, _ = backtest.solve_rebalance(cfg, crash_market(), 80, k_prev,
+                                             prev.basis)
+    m = model.b_eq.size
+    assert model.row_sections["cuts_x"][1] <= robust_lp._WHOLE_MAX_L * m
     assert len(prev.basis.col_status) == model.layout.nv
-    assert sol.status == "infeasible"
+    assert len(prev.basis.row_status) == model.n_rows + m
+    cold, _, _ = backtest.solve_rebalance(cfg, crash_market(), 80, k_prev)
+    assert sol.iterations < cold.iterations  # HiGHS took the basis
+    assert sol.status == cold.status == "infeasible"
     lo, _ = model.row_sections["cost_limit"]
     assert backtest.failure_message(80, sol, model) == (
         "rebalance at period 80 failed with status infeasible; "

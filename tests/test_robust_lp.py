@@ -187,7 +187,10 @@ def test_on_demand_cuts_agree_with_the_whole_lp(log_utility, monkeypatch,
         assert demand.residual <= robust_lp._CUT_TOL
         assert whole.rows_held == model.n_rows + m
         assert demand.rows_held < whole.rows_held
-        assert demand.basis is None and whole.basis is not None
+        # every optimum returns its basis, over the rows HiGHS held
+        for sol in (demand, whole):
+            assert len(sol.basis.col_status) == model.layout.nv
+            assert len(sol.basis.row_status) == sol.rows_held
 
 
 def test_on_demand_lp_holds_fewer_than_all_cuts(log_utility, monkeypatch):
@@ -202,7 +205,8 @@ def test_on_demand_lp_holds_fewer_than_all_cuts(log_utility, monkeypatch):
     # per scenario
     cuts_held = sol.rows_held - (model.n_rows - m * L) - m
     assert m <= cuts_held < m * L
-    # the whole LP's optimal basis is ignored: the same run, bit for bit
+    # the whole LP's optimal basis has another row count, so HiGHS refuses
+    # it: the same run, bit for bit
     with monkeypatch.context() as mp:
         mp.setattr(robust_lp, "_WHOLE_MAX_L", 10**9)
         basis = robust_lp.solve(model).basis
@@ -305,7 +309,8 @@ def test_survival_constraint_bounds_worst_factor(log_utility):
     assert (factors >= -1e-9).all()
 
 
-def test_infeasible_model_reports_certificate_row(log_utility, kelly_instance):
+def test_infeasible_model_reports_certificate_row(log_utility, kelly_instance,
+                                                 monkeypatch):
     scen, amb, con = kelly_instance
     fam = small_family(log_utility, scen, con, 1e-6, 1e-6)
     model = robust_lp.assemble(scen, fam, amb, con, np.zeros(1))
@@ -314,7 +319,18 @@ def test_infeasible_model_reports_certificate_row(log_utility, kelly_instance):
     # magnitudes <= -1
     rows = model.row_sections["leverage"]
     bad = with_contradictory_leverage(model)
+    elastic = []
+
+    def recorded(*args, **kwargs):
+        elastic.append(kwargs["A_ub"].shape[0])
+        return real(*args, **kwargs)
+
+    real = robust_lp.linprog
+    monkeypatch.setattr(robust_lp, "linprog", recorded)
     sol = robust_lp.solve(bad)
+    # the elastic LP holds no cut row of either leg
+    m, L, R = scen.m, fam.a.size, fam.b.size
+    assert elastic == [model.n_rows - m * L - R]
     assert sol.status == "infeasible"
     assert sol.weights is None
     assert sol.certificate_row == rows[0]
@@ -421,22 +437,41 @@ def warm_start_instance(log_utility, m=40, budget_x=1e-4):
     return robust_lp.assemble(scen, fam, amb, con, np.zeros(4))
 
 
+def rows_first_held(model):
+    """The rows HiGHS first holds: all of them, or one cut per scenario."""
+    m, (lo, hi) = model.b_eq.size, model.row_sections["cuts_x"]
+    on_demand = hi - lo > robust_lp._WHOLE_MAX_L * m
+    return model.n_rows + m - (hi - lo - m if on_demand else 0)
+
+
 def test_start_with_the_same_shape_is_taken(log_utility):
-    model = warm_start_instance(log_utility)
-    cold = robust_lp.solve(model)
-    assert cold.iterations > 0
-    warm = robust_lp.solve(model, cold.basis)
-    assert warm.iterations == 0  # the optimal basis needs no pivot
-    assert warm.objective == pytest.approx(cold.objective, rel=0, abs=1e-12)
-    np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)
+    # 12 planes per scenario solve whole; with 110 the cuts come on demand,
+    # and this LP's first round adds none, so its optimal basis has the row
+    # count HiGHS first holds
+    for budget_x in (1e-4, 1e-6):
+        model = warm_start_instance(log_utility, budget_x=budget_x)
+        whole = rows_first_held(model) == model.n_rows + model.b_eq.size
+        assert whole == (budget_x == 1e-4)
+        cold = robust_lp.solve(model)
+        assert cold.iterations > 0
+        assert cold.rows_held == rows_first_held(model)
+        warm = robust_lp.solve(model, cold.basis)
+        assert warm.iterations == 0  # the optimal basis needs no pivot
+        assert warm.objective == pytest.approx(cold.objective, rel=0,
+                                               abs=1e-12)
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("other", [{"budget_x": 1e-2}, {"m": 30}],
-                         ids=["other-L", "other-m"])
-def test_start_from_another_shape_is_ignored(log_utility, other):
-    model = warm_start_instance(log_utility)
+@pytest.mark.parametrize(
+    "budget_x, other",
+    [(1e-4, {"budget_x": 1e-2}), (1e-4, {"m": 30}), (1e-6, {})],
+    ids=["other-L", "other-m", "on-demand"])
+def test_start_from_another_shape_is_ignored(log_utility, budget_x, other):
+    model = warm_start_instance(log_utility, budget_x=budget_x)
     start = robust_lp.solve(warm_start_instance(log_utility, **other)).basis
-    assert start.valid and len(start.row_status) != model.n_rows + model.b_eq.size
+    whole = rows_first_held(model) == model.n_rows + model.b_eq.size
+    assert whole == (budget_x == 1e-4)
+    assert start.valid and len(start.row_status) != rows_first_held(model)
     cold = robust_lp.solve(model)
     sol = robust_lp.solve(model, start)
     assert sol.status == "optimal"
