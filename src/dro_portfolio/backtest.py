@@ -8,7 +8,7 @@ proportional cost charged once per weight change.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class BacktestConfig:
     def __post_init__(self):
         if self.train_window < 1 or self.rebalance_every < 1:
             raise ValueError("window lengths must be at least 1")
+        if self.periods_per_year < 1:
+            raise ValueError("periods_per_year must be at least 1")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BacktestConfig":
@@ -119,9 +121,6 @@ class PerformanceReport:
     avg_invested_weight: float
     avg_optimal_value: float | None
     avg_solve_time: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def account_step(v_prev: float, k, k_prev, x, cost_vector) -> float:

@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -110,14 +110,27 @@ def _load_returns(data_cfg: dict):
     return returns
 
 
-def _sweep_values(spec: str):
-    if "=" not in spec:
+def _run_configs(args, field: str, vary):
+    """The returns and the run configs of ``solve`` or ``backtest``.
+
+    The config file gives one config; ``--sweep field=v1,v2,...`` gives one
+    per value instead, made by ``vary(config, value)``.
+    """
+    cfg = _load_config(args)
+    returns = _load_returns(cfg.get("data", {}))
+    with _config_values():
+        config = bt.BacktestConfig.from_config(cfg)
+    if not args.sweep:
+        return returns, [config]
+    if "=" not in args.sweep:
         raise UsageError("sweep must look like name=v1,v2,...")
-    name, _, raw = spec.partition("=")
-    vals = [v for v in raw.split(",") if v != ""]
-    if not vals:
+    name, _, raw = args.sweep.partition("=")
+    values = [float(v) for v in raw.split(",") if v != ""]
+    if not values:
         raise UsageError("sweep needs at least one value")
-    return name.strip(), [float(v) for v in vals]
+    if name.strip() != field:
+        raise UsageError(f"{args.command} only sweeps {field}")
+    return returns, [vary(config, v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +208,12 @@ def _solve_report(config: bt.BacktestConfig, returns) -> dict:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    returns = _load_returns(cfg.get("data", {}))
-    with _config_values():
-        config = bt.BacktestConfig.from_config(cfg)
-    configs = [config]
-    if args.sweep:
-        sweep_name, values = _sweep_values(args.sweep)
-        if sweep_name != "gamma":
-            raise UsageError("solve only sweeps gamma")
-        configs = [replace(config, gamma=g) for g in values]
+    returns, configs = _run_configs(
+        args, "gamma", lambda c, gamma: replace(c, gamma=gamma))
     T = returns.returns.shape[1]
-    if T < config.train_window:
-        raise UsageError(
-            f"need at least {config.train_window} return periods, have {T}"
-        )
+    window = configs[0].train_window
+    if T < window:
+        raise UsageError(f"need at least {window} return periods, have {T}")
     results = thread_map(lambda c: _solve_report(c, returns), configs)
     status = 0
     for res in results:
@@ -238,20 +242,10 @@ def _path_rows(path: bt.AccountPath):
 
 
 def cmd_backtest(args) -> int:
-    cfg = _load_config(args)
-    returns = _load_returns(cfg.get("data", {}))
-    with _config_values():
-        config = bt.BacktestConfig.from_config(cfg)
-    configs = [config]
-    if args.sweep:
-        sweep_name, values = _sweep_values(args.sweep)
-        if sweep_name != "cost_rate":
-            raise UsageError("backtest only sweeps cost_rate")
-        configs = [
-            replace(config, cost_rate=rate,
-                    turnover_cost_limit=rate * 2.0 * config.leverage)
-            for rate in values
-        ]
+    returns, configs = _run_configs(
+        args, "cost_rate",
+        lambda c, rate: replace(c, cost_rate=rate,
+                                turnover_cost_limit=rate * 2.0 * c.leverage))
 
     def one(c):
         try:
@@ -277,7 +271,7 @@ def cmd_backtest(args) -> int:
             "train_window": c.train_window,
             "rebalance_every": c.rebalance_every,
         }}
-        doc.update(report.to_dict())
+        doc.update(asdict(report))
         # deterministic, unlike avg_solve_time: the warm start shows here
         doc["avg_iterations"] = float(np.mean(path.iterations))
         _emit_json(doc, args, f"backtest{tag}.json")
@@ -294,7 +288,7 @@ def cmd_backtest(args) -> int:
             )
             brep = bt.metrics(bpath, c.periods_per_year, c.risk_free_annual)
             bdoc = {"status": "ok", "benchmark": "equal_weight"}
-            bdoc.update(brep.to_dict())
+            bdoc.update(asdict(brep))
             _emit_json(bdoc, args, f"benchmark_equal_weight{tag}.json")
     if args.sweep and args.out:
         rows = [("cost_rate", "cumulative_return")]

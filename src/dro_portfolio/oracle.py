@@ -28,6 +28,8 @@ class ComplexityError(ValueError):
     """Instance too large for the brute-force path."""
 
 
+# spacing of the exact_small_solve grid on every weight axis
+GRID_STEP = 1e-3
 _GRID_POINT_CAP = 40_000_000
 _LP_POINT_CAP = 20_000
 # values (points x scenarios) in one grid-scan slice: 512 KiB a float
@@ -194,11 +196,11 @@ def exact_small_solve(
     con: TradingConstraintSet,
     k_prev,
     u: SeparableUtility,
-    grid_step: float = 1e-3,
 ):
     """Maximize the exact worst-case objective by dense grid search.
 
-    Only for n <= 3; refuses outright when the grid would be too large.
+    The grid spaces every weight axis GRID_STEP apart.  Only for n <= 3;
+    refuses outright when the grid would be too large.
     The grid is never built whole: it is scanned in row-major slices of
     _SLICE_VALUES / m points (m scenarios), sized to stay in cache, that
     skip, row by row, the last-axis stretches outside the leverage bound,
@@ -209,8 +211,6 @@ def exact_small_solve(
     n = scen.n
     if n > 3:
         raise ComplexityError("exact solve is limited to n <= 3 assets")
-    if grid_step > 1e-3:
-        raise ValueError("grid step must be at most 1e-3")
     k_prev = np.asarray(k_prev, dtype=float)
     lev = con.leverage
     axes = []
@@ -220,7 +220,7 @@ def exact_small_solve(
         if con.holding_caps is not None:
             lo = max(lo, -float(con.holding_caps[i]) if con.allow_short else 0.0)
             hi = min(hi, float(con.holding_caps[i]))
-        axes.append(_axis_values(lo, hi, grid_step))
+        axes.append(_axis_values(lo, hi, GRID_STEP))
     total = int(np.prod([ax.size for ax in axes], dtype=np.int64))
     if total > _GRID_POINT_CAP:
         raise ComplexityError(f"grid of {total} points exceeds the cap")
@@ -239,7 +239,7 @@ def exact_small_solve(
     any_feasible = False
     # each slice is held as an (n, points) array, so the sums over assets
     # add contiguous rows
-    for G in _leverage_slices(axes, lev, grid_step, chunk):
+    for G in _leverage_slices(axes, lev, GRID_STEP, chunk):
         feas = np.abs(G).sum(axis=0) <= lev + 1e-12
         exposure = (np.maximum(G, 0.0) * down).sum(axis=0)
         exposure += (np.maximum(-G, 0.0) * up).sum(axis=0)
@@ -327,7 +327,6 @@ def concavity_probe(
     trials: int,
     seed: int = 0,
     con: TradingConstraintSet | None = None,
-    slack: float = 1e-9,
 ) -> ProbeReport:
     """Randomized check that the empirical objective is jointly concave.
 
@@ -367,7 +366,7 @@ def concavity_probe(
         if va is None or vb is None or vm is None:
             continue
         done += 1
-        if vm < lam * va + (1 - lam) * vb - slack:
+        if vm < lam * va + (1 - lam) * vb - 1e-9:
             violations.append((ka, kpa, kb, kpb, lam, vm, lam * va + (1 - lam) * vb))
     return ProbeReport(
         name="joint_concavity",
@@ -413,7 +412,6 @@ def random_small_instance(
     m_max: int = 20,
     gamma_choices=(0.0, 0.3, 1.0),
     cost_rate: float = 0.0,
-    allow_short: bool = True,
 ):
     """One random scenario set, contamination polytope, and constraint set."""
     n = int(rng.integers(1, n_max + 1))
@@ -426,7 +424,6 @@ def random_small_instance(
         leverage=1.5,
         cost_rate=cost_rate,
         turnover_cost_limit=0.5 if cost_rate else 0.0,
-        allow_short=allow_short,
     )
     return scen, amb, con
 
@@ -439,8 +436,9 @@ def _solve_robust(scen, amb, con, u, budget_total):
     return robust_lp.rebalance(scen, amb, con, u, budget, np.zeros(scen.n))
 
 
-def verify_duality(seed: int = 0, instances: int = 12, budget: float = 1e-8):
+def verify_duality(seed: int = 0):
     """Dual value from the solved multipliers meets the direct worst case."""
+    instances, budget = 12, 1e-8
     rng = np.random.default_rng(seed)
     u = SeparableUtility("log")
     worst = 0.0
@@ -463,8 +461,9 @@ def verify_duality(seed: int = 0, instances: int = 12, budget: float = 1e-8):
     }
 
 
-def verify_inner(seed: int = 0, trials: int = 100):
+def verify_inner(seed: int = 0):
     """Closed-form and vertex views of the contamination worst case match the LP."""
+    trials = 100
     rng = np.random.default_rng(seed)
     failures = []
     for t in range(trials):
@@ -482,11 +481,11 @@ def verify_inner(seed: int = 0, trials: int = 100):
     return {"passed": not failures, "trials": trials, "failures": failures}
 
 
-def verify_approximation(seed: int = 0, instances: int = 6, fault: bool = False):
+def verify_approximation(seed: int = 0, fault: bool = False):
     """Small-instance sandwich: exact value <= cut-model value <= exact + budget."""
+    instances, budget = 6, 1e-5
     rng = np.random.default_rng(seed)
     u = SeparableUtility("log")
-    budget = 1e-5
     failures = []
     for t in range(instances):
         scen, amb, con = random_small_instance(rng, n_max=2, m_max=8)
@@ -500,10 +499,9 @@ def verify_approximation(seed: int = 0, instances: int = 6, fault: bool = False)
         if sol.status != "optimal":
             failures.append((t, "solve status", sol.status))
             continue
-        k_star, exact_val = exact_small_solve(
-            scen, amb, con, np.zeros(scen.n), u, grid_step=1e-3
-        )
-        slack = 2e-3 * (1.0 + con.leverage)  # grid-step times Lipschitz bound
+        _, exact_val = exact_small_solve(scen, amb, con, np.zeros(scen.n), u)
+        # twice the grid step times a Lipschitz bound
+        slack = 2.0 * GRID_STEP * (1.0 + con.leverage)
         if not (exact_val - 1e-9 <= sol.objective <= exact_val + budget + slack):
             failures.append((t, "sandwich", exact_val, sol.objective))
     return {"passed": not failures, "instances": instances, "failures": failures}

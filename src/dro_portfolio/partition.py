@@ -59,10 +59,6 @@ class ErrorBudget:
         if not (self.eps_x > 0 and self.eps_c > 0):
             raise ValueError("error budgets must be positive")
 
-    @property
-    def total(self) -> float:
-        return self.eps_x + self.eps_c
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -542,11 +542,11 @@ def _diagnose_infeasible(model: RobustLpModel) -> int | None:
 
 
 def extract_weights(sol: LpSolution, layout: DecisionLayout):
-    """Portfolio weights plus turnover, leverage, and investment diagnostics."""
+    """``sol.weights`` plus turnover, leverage, and investment diagnostics."""
     if sol.status != "optimal":
         raise SolutionStatusError(f"solution status is {sol.status}, not optimal")
     x = sol.x
-    k = x[layout.kp] - x[layout.km]
+    k = sol.weights
     C = sol.provenance["cost_vector"]
     k_prev = sol.provenance["k_prev"]
     rf = sol.provenance.get("risk_free_index")

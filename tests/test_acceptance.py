@@ -22,6 +22,7 @@ from dro_portfolio.data import (
     load_prices,
 )
 from dro_portfolio.oracle import (
+    GRID_STEP,
     concavity_probe,
     duality_gap,
     exact_small_solve,
@@ -160,7 +161,6 @@ def test_criterion_5_exact_sandwich():
     start = time.perf_counter()
     u = SeparableUtility("log")
     rng = np.random.default_rng(5)
-    grid_step = 1e-3
     ok = True
     for i in range(20):
         scen, amb, con = random_small_instance(rng, n_max=2, m_max=10,
@@ -168,13 +168,12 @@ def test_criterion_5_exact_sandwich():
         eps = 1e-3 if i % 2 == 0 else 1e-5
         sol, _ = _robust_solve(u, scen, amb, con, eps_x=eps, eps_c=1e-6)
         ok &= sol.status == "optimal"
-        _, exact_val = exact_small_solve(scen, amb, con, np.zeros(scen.n), u,
-                                         grid_step=grid_step)
+        _, exact_val = exact_small_solve(scen, amb, con, np.zeros(scen.n), u)
         maxabs = float(np.abs(scen.scenarios).max())
         # worst-case objective gradient bound over the leverage ball
         lipschitz = scen.n * maxabs / (1.0 - con.leverage * maxabs)
         ok &= exact_val - 1e-9 <= sol.objective
-        ok &= sol.objective <= exact_val + eps + 2.0 * grid_step * lipschitz
+        ok &= sol.objective <= exact_val + eps + 2.0 * GRID_STEP * lipschitz
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
     _report(5, bool(ok), f"(runtime {elapsed:.2f}s)")

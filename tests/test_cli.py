@@ -277,6 +277,7 @@ def test_solve_gamma_sweep(tmp_path):
     low = json.loads((out / "solve_gamma_0.json").read_text())
     high = json.loads((out / "solve_gamma_0.5.json").read_text())
     assert low["status"] == high["status"] == "optimal"
+    assert (low["gamma"], high["gamma"]) == (0.0, 0.5)
     # worst case over a larger ambiguity set cannot improve the objective
     assert high["objective"] <= low["objective"] + 1e-12
 
@@ -377,8 +378,11 @@ def test_backtest_cost_sweep(tmp_path):
     rc = run_cli(["backtest", "--config", config, "--sweep",
                   "cost_rate=0,0.005", "--no-timestamp", "--out", str(out)])
     assert rc == 0
-    for tag in ("_c_0", "_c_0.005"):
-        assert (out / f"backtest{tag}.json").exists()
+    for rate, tag in ((0.0, "_c_0"), (0.005, "_c_0.005")):
+        doc = json.loads((out / f"backtest{tag}.json").read_text())
+        # the sweep couples the turnover cost limit to the rate
+        assert doc["config"]["cost_rate"] == rate
+        assert doc["config"]["c_max"] == rate * 2.0 * 1.5
         assert (out / f"path{tag}.csv").exists()
     lines = (out / "return_vs_cost.csv").read_text().strip().splitlines()
     assert lines[0] == "cost_rate,cumulative_return"
@@ -544,6 +548,25 @@ def test_config_value_of_wrong_type(tmp_path, capsys, command, overrides):
     rc = run_cli([command, "--config", config])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: bad config value")
+
+
+@pytest.mark.parametrize("command", ["solve", "backtest"])
+@pytest.mark.parametrize("per_year", [0, -5])
+def test_periods_per_year_below_one_is_a_usage_error(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     per_year):
+    # no risk_free_annual, so only the Sharpe ratio would divide by it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"csv": FIXTURE, "periods_per_year": per_year},
+        "backtest": {"train_window": 60, "rebalance_every": 20},
+    }))
+    monkeypatch.setattr(backtest, "solve_rebalance",
+                        lambda *a, **k: pytest.fail("solved a rebalance"))
+    rc = run_cli([command, "--config", str(config)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bad config value: periods_per_year must be at least 1\n")
 
 
 @pytest.mark.parametrize("document", ["[]", '{"constraints": []}'],

@@ -95,7 +95,7 @@ def test_duality_gap_small_at_optimum_and_grows_off_it(log_utility):
     assert gap_bad > gap + 1e-4
 
 
-def exact_small_solve_by_meshgrid(scen, amb, con, k_prev, u, grid_step=1e-3):
+def exact_small_solve_by_meshgrid(scen, amb, con, k_prev, u):
     """Reference scan: the whole grid as one (points x n) meshgrid array."""
     k_prev = np.asarray(k_prev, dtype=float)
     lev = con.leverage
@@ -106,7 +106,7 @@ def exact_small_solve_by_meshgrid(scen, amb, con, k_prev, u, grid_step=1e-3):
         if con.holding_caps is not None:
             lo = max(lo, -float(con.holding_caps[i]) if con.allow_short else 0.0)
             hi = min(hi, float(con.holding_caps[i]))
-        axes.append(oracle._axis_values(lo, hi, grid_step))
+        axes.append(oracle._axis_values(lo, hi, oracle.GRID_STEP))
     mesh = np.meshgrid(*axes, indexing="ij")
     K = np.stack([g.ravel() for g in mesh], axis=1)
     feas = np.abs(K).sum(axis=1) <= lev + 1e-12
@@ -397,14 +397,6 @@ def test_exact_small_solve_per_point_lp_matches_closed_form(log_utility):
     assert 0.0 < k_cf[0] < 1.0  # interior, so the scan decides it
     assert np.array_equal(k_lp, k_cf)
     assert value_lp == pytest.approx(value_cf, abs=1e-12)
-
-
-def test_exact_small_solve_rejects_coarse_grid(kelly_instance, log_utility):
-    scen, amb, con = kelly_instance
-    with pytest.raises(ValueError):
-        oracle.exact_small_solve(
-            scen, amb, con, np.zeros(1), log_utility, grid_step=0.01
-        )
 
 
 def test_concavity_probe_clean(log_utility):
