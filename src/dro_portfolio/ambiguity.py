@@ -52,21 +52,24 @@ class PolyhedralAmbiguitySet:
 
     def _certify_nonempty(self):
         # phase-1 LP: any feasible p on the simplex will do
-        a_eq = np.vstack([self.A0, np.ones((1, self.m))])
-        b_eq = np.concatenate([self.d0, [1.0]])
-        res = linprog(
-            c=np.zeros(self.m),
-            A_ub=self.A1 if self.A1.size else None,
-            b_ub=self.d1 if self.d1.size else None,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
+        res = linprog(c=np.zeros(self.m), method="highs", **self.lp_rows())
         if res.status != 0:
             raise InfeasibleAmbiguityError(
                 "ambiguity polyhedron does not meet the simplex"
             )
+
+    def lp_rows(self) -> dict:
+        """The set as ``linprog`` rows over p >= 0.
+
+        A1 p <= d1 and [A0; 1'] p = [d0; 1], with ``bounds`` (0, None).
+        """
+        return {
+            "A_ub": self.A1 if self.n_ineq else None,
+            "b_ub": self.d1 if self.n_ineq else None,
+            "A_eq": np.vstack([self.A0, np.ones((1, self.m))]),
+            "b_eq": np.concatenate([self.d0, [1.0]]),
+            "bounds": (0.0, None),
+        }
 
     @property
     def n_eq(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -67,14 +68,28 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _finite(value, what: str) -> float:
+    """float(value), refused as a usage error when it is NaN or infinite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise UsageError(f"{what} is not a finite number: {value}")
+    return number
+
+
 def _load_config(args) -> dict:
     if not args.config:
         return {}
     if not os.path.exists(args.config):
         raise UsageError(f"config file not found: {args.config}")
+
+    def number(text):
+        # refuses NaN, Infinity, -Infinity and a float literal that
+        # overflows to inf, such as 1e400
+        return _finite(text, "config value")
+
     with open(args.config, encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=number, parse_float=number)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -90,7 +105,7 @@ def _config_values():
     """Report a config value of the wrong type or range as a usage error."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad config value: {exc}") from None
 
 
@@ -125,7 +140,7 @@ def _run_configs(args, field: str, vary):
     if "=" not in args.sweep:
         raise UsageError("sweep must look like name=v1,v2,...")
     name, _, raw = args.sweep.partition("=")
-    values = [float(v) for v in raw.split(",") if v != ""]
+    values = [_finite(v, "sweep value") for v in raw.split(",") if v != ""]
     if not values:
         raise UsageError("sweep needs at least one value")
     if name.strip() != field:
@@ -147,7 +162,10 @@ def cmd_partition(args) -> int:
     x_hi = args.x_max if args.x_max is not None else pc.get("x_max", 0.2)
     c_hi = args.c_max if args.c_max is not None else pc.get("c_max", 0.02)
     with _config_values():
-        eps_x, eps_c, x_lo, x_hi, c_hi = map(float, (eps_x, eps_c, x_lo, x_hi, c_hi))
+        eps_x, eps_c, x_lo, x_hi, c_hi = (
+            _finite(v, name) for v, name in zip(
+                (eps_x, eps_c, x_lo, x_hi, c_hi),
+                ("eps_x", "eps_c", "x_min", "x_max", "c_max")))
         utility = SeparableUtility.from_config(cfg.get("utility", {"kind": "log"}))
     if eps_x <= 0 or eps_c <= 0:
         raise UsageError("partition needs positive eps_x and eps_c budgets")
@@ -280,7 +298,7 @@ def cmd_backtest(args) -> int:
             text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
             _atomic_write(os.path.join(args.out, f"path{tag}.csv"), text)
         series.append((c.cost_rate, report.cumulative_return))
-        if args.benchmarks and args.out:
+        if args.benchmarks:
             bpath = bt.benchmark_buy_and_hold(
                 returns,
                 initial_cost_rate=c.cost_rate,

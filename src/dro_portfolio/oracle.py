@@ -10,7 +10,7 @@ suites; the test suite leans on the same functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -90,17 +90,7 @@ def inner_worst_case(
 
 
 def _polytope_lp(amb: PolyhedralAmbiguitySet, objective):
-    a_eq = np.vstack([amb.A0, np.ones((1, amb.m))])
-    b_eq = np.concatenate([amb.d0, [1.0]])
-    return linprog(
-        c=objective,
-        A_ub=amb.A1 if amb.n_ineq else None,
-        b_ub=amb.d1 if amb.n_ineq else None,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
-        method="highs",
-    )
+    return linprog(c=objective, method="highs", **amb.lp_rows())
 
 
 def contamination_vertices(p_hat, gamma: float) -> np.ndarray:
@@ -261,12 +251,7 @@ def exact_small_solve(
         if amb.gamma is not None:
             inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * _row_min(q)
         else:
-            inner = np.array(
-                [
-                    _polytope_lp(amb, q[t]).fun
-                    for t in range(q.shape[0])
-                ]
-            )
+            inner = np.array([_polytope_lp(amb, row).fun for row in q])
         t = int(np.argmax(inner))
         if inner[t] > best_val:
             best_val = float(inner[t])
@@ -284,21 +269,15 @@ def exact_small_solve(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    name: str
-    trials: int
-    violations: tuple
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "violations": [repr(v) for v in self.violations[:5]],
-            "violation_count": len(self.violations),
-            "passed": self.passed,
-        }
+def _probe_report(name: str, trials: int, violations: list) -> dict:
+    """The verify.json entry of a probe: the first five violations as repr."""
+    return {
+        "name": name,
+        "trials": trials,
+        "violations": [repr(v) for v in violations[:5]],
+        "violation_count": len(violations),
+        "passed": not violations,
+    }
 
 
 def _sample_feasible_weights(rng, scen: ScenarioSet, con: TradingConstraintSet):
@@ -327,7 +306,7 @@ def concavity_probe(
     trials: int,
     seed: int = 0,
     con: TradingConstraintSet | None = None,
-) -> ProbeReport:
+) -> dict:
     """Randomized check that the empirical objective is jointly concave.
 
     Samples feasible pairs (k, k_prev) twice, mixes them, and compares the
@@ -368,12 +347,7 @@ def concavity_probe(
         done += 1
         if vm < lam * va + (1 - lam) * vb - 1e-9:
             violations.append((ka, kpa, kb, kpb, lam, vm, lam * va + (1 - lam) * vb))
-    return ProbeReport(
-        name="joint_concavity",
-        trials=trials,
-        violations=tuple(violations),
-        passed=not violations,
-    )
+    return _probe_report("joint_concavity", trials, violations)
 
 
 def survival_probe(
@@ -381,7 +355,7 @@ def survival_probe(
     con: TradingConstraintSet,
     trials: int,
     seed: int = 0,
-) -> ProbeReport:
+) -> dict:
     """Account growth factors stay nonnegative for constraint-abiding weights."""
     rng = np.random.default_rng(seed)
     violations = []
@@ -393,12 +367,7 @@ def survival_probe(
         factor = (1.0 + float(k @ scen.scenarios[j])) * (1.0 - cost)
         if factor < 0.0:
             violations.append((k, k_prev, j, factor))
-    return ProbeReport(
-        name="survivability",
-        trials=trials,
-        violations=tuple(violations),
-        passed=not violations,
-    )
+    return _probe_report("survivability", trials, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +379,13 @@ def random_small_instance(
     rng,
     n_max: int = 5,
     m_max: int = 20,
-    gamma_choices=(0.0, 0.3, 1.0),
     cost_rate: float = 0.0,
 ):
     """One random scenario set, contamination polytope, and constraint set."""
     n = int(rng.integers(1, n_max + 1))
     m = int(rng.integers(2, m_max + 1))
     scen = ScenarioSet.uniform(rng.uniform(-0.15, 0.18, size=(m, n)))
-    gamma = float(rng.choice(gamma_choices))
+    gamma = float(rng.choice([0.0, 0.3, 1.0]))
     amb = from_gamma(scen.probabilities, gamma)
     con = TradingConstraintSet.uniform(
         n,
@@ -428,24 +396,18 @@ def random_small_instance(
     return scen, amb, con
 
 
-def _solve_robust(scen, amb, con, u, budget_total):
-    """robust_lp.rebalance from k_prev = 0 with the total budget split per axis."""
-    c_hi = robust_lp.approximation_box(scen, con)[2]
-    eps_c = min(budget_total * 0.5, 1e-5) if c_hi > 0 else budget_total * 0.5
-    budget = ErrorBudget(eps_x=budget_total - eps_c, eps_c=eps_c)
-    return robust_lp.rebalance(scen, amb, con, u, budget, np.zeros(scen.n))
-
-
 def verify_duality(seed: int = 0):
     """Dual value from the solved multipliers meets the direct worst case."""
     instances, budget = 12, 1e-8
+    per_axis = ErrorBudget(budget / 2, budget / 2)
     rng = np.random.default_rng(seed)
     u = SeparableUtility("log")
     worst = 0.0
     failures = []
     for t in range(instances):
         scen, amb, con = random_small_instance(rng)
-        sol, _, _ = _solve_robust(scen, amb, con, u, budget)
+        sol, _, _ = robust_lp.rebalance(scen, amb, con, u, per_axis,
+                                        np.zeros(scen.n))
         if sol.status != "optimal":
             failures.append((t, sol.status))
             continue
@@ -484,12 +446,14 @@ def verify_inner(seed: int = 0):
 def verify_approximation(seed: int = 0, fault: bool = False):
     """Small-instance sandwich: exact value <= cut-model value <= exact + budget."""
     instances, budget = 6, 1e-5
+    per_axis = ErrorBudget(budget / 2, budget / 2)
     rng = np.random.default_rng(seed)
     u = SeparableUtility("log")
     failures = []
     for t in range(instances):
         scen, amb, con = random_small_instance(rng, n_max=2, m_max=8)
-        sol, _, fam = _solve_robust(scen, amb, con, u, budget)
+        sol, _, fam = robust_lp.rebalance(scen, amb, con, u, per_axis,
+                                          np.zeros(scen.n))
         if fault:
             fam = replace(fam, gamma_x=-fam.gamma_x, gamma_c=-fam.gamma_c)
         # tangency: every plane touches f at its anchor
@@ -531,8 +495,9 @@ def run_all(seed: int = 0, fault: bool = False, suites=None) -> dict:
     return {"passed": passed, "suites": results}
 
 
-def _make_probe_scenarios(seed: int, n: int = 3, m: int = 12) -> ScenarioSet:
-    X = np.random.default_rng(seed).uniform(-0.12, 0.15, size=(m, n))
+def _make_probe_scenarios(seed: int) -> ScenarioSet:
+    """Twelve scenarios of three assets, uniform on [-0.12, 0.15]."""
+    X = np.random.default_rng(seed).uniform(-0.12, 0.15, size=(12, 3))
     return ScenarioSet.uniform(X)
 
 
@@ -542,11 +507,8 @@ def _concavity_suite(seed: int) -> dict:
     rep_pow = concavity_probe(
         SeparableUtility("power", delta=0.5), scen, 300, seed=seed + 1
     )
-    return {
-        "passed": rep_log.passed and rep_pow.passed,
-        "log": rep_log.to_dict(),
-        "power": rep_pow.to_dict(),
-    }
+    return {"passed": rep_log["passed"] and rep_pow["passed"],
+            "log": rep_log, "power": rep_pow}
 
 
 def _survival_suite(seed: int) -> dict:
@@ -554,5 +516,4 @@ def _survival_suite(seed: int) -> dict:
     con = TradingConstraintSet.uniform(
         scen.n, leverage=1.5, cost_rate=0.005, turnover_cost_limit=0.5
     )
-    rep = survival_probe(scen, con, 1000, seed=seed)
-    return rep.to_dict()
+    return survival_probe(scen, con, 1000, seed=seed)

@@ -80,13 +80,14 @@ class TradingConstraintSet:
             object.__setattr__(
                 self, "holding_caps", np.asarray(self.holding_caps, dtype=float)
             )
-        if self.leverage < 1.0:
-            raise ValueError("leverage must be at least 1")
+        # each test is written to fail on NaN
+        if not 1.0 <= self.leverage < np.inf:
+            raise ValueError("leverage must be finite and at least 1")
         if not 0.0 <= self.turnover_cost_limit < 1.0:
             raise ValueError("turnover cost limit must lie in [0, 1)")
-        if np.any(self.cost_vector < 0) or np.any(self.cost_vector >= 1):
+        if not np.all((self.cost_vector >= 0) & (self.cost_vector < 1)):
             raise ValueError("cost rates must lie in [0, 1)")
-        if self.holding_caps is not None and np.any(self.holding_caps < 0):
+        if self.holding_caps is not None and not np.all(self.holding_caps >= 0):
             raise ValueError("holding caps must be nonnegative")
 
     @classmethod
@@ -476,8 +477,8 @@ def solve(model: RobustLpModel,
     The status is "optimal", "infeasible" (with the row of an elastic
     infeasibility certificate), "unbounded" or "numerical".  "numerical"
     covers both a HiGHS failure and a returned point whose worst row
-    violation, kept in ``residual``, exceeds _RESIDUAL_TOL; an equality
-    row counts its violation in either direction.
+    violation, kept in ``residual``, exceeds _RESIDUAL_TOL or is NaN; an
+    equality row counts its violation in either direction.
     """
     t0 = time.perf_counter()
     res = _run_highs(model, start)
@@ -492,9 +493,9 @@ def solve(model: RobustLpModel,
     if res.status != highs.HighsModelStatus.kOptimal:
         return LpSolution(status="numerical", **common)
     x = res.x
-    residual = float(max(np.max(model.A_ub @ x - model.b_ub, initial=0.0),
-                         np.max(np.abs(model.A_eq @ x - model.b_eq), initial=0.0)))
-    if residual > _RESIDUAL_TOL:
+    residual = float(np.max(np.concatenate([
+        model.A_ub @ x - model.b_ub, np.abs(model.A_eq @ x - model.b_eq), [0.0]])))
+    if not residual <= _RESIDUAL_TOL:
         return LpSolution(status="numerical", residual=residual, **common)
     lay = model.layout
     return LpSolution(

@@ -187,8 +187,8 @@ def test_criterion_6_survivability():
         scen, _, con = random_small_instance(rng, cost_rate=0.002)
         rep = survival_probe(scen, con, trials=1000,
                              seed=int(rng.integers(2 ** 31)))
-        trials += rep.trials
-        violations += len(rep.violations)
+        trials += rep["trials"]
+        violations += rep["violation_count"]
     ok = trials == 10_000 and violations == 0
     _report(6, bool(ok), f"({trials} triples, {violations} violations)")
 
@@ -329,6 +329,6 @@ def test_criterion_10_concavity_probe():
     total = 0
     for u in (SeparableUtility("log"), SeparableUtility("power", delta=0.5)):
         rep = concavity_probe(u, scen, trials=1000, seed=11)
-        total += rep.trials
-        ok &= rep.passed and not rep.violations
+        total += rep["trials"]
+        ok &= rep["passed"] and not rep["violation_count"]
     _report(10, bool(ok), f"({total} trials, zero violations required)")

@@ -145,6 +145,24 @@ def test_partition_budget_below_reach_is_an_input_error(capsys):
     )
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--x-min", "nan"), ("--x-max", "inf"), ("--eps-x", "nan"),
+    ("--eps-c", "inf"), ("--c-max", "nan"),
+])
+def test_partition_non_finite_flag_is_a_usage_error(tmp_path, capsys,
+                                                    monkeypatch, flag, value):
+    monkeypatch.setattr(cli, "build_family",
+                        lambda *a, **k: pytest.fail("built a family"))
+    out = tmp_path / "out"
+    rc = run_cli(["partition", "--eps-x", "1e-4", "--eps-c", "1e-4",
+                  flag, value, "--out", str(out)])
+    assert rc == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"error: {name} is not a finite number: {value}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps_x, eps_c, loose",
                          [("1e-3", "100", "c"), ("1e-3", "1e3", "c"),
                           ("800", "1e-3", "x"), ("1e308", "1e308", "xc")])
@@ -411,6 +429,22 @@ def test_backtest_benchmarks(tmp_path):
     assert "cumulative_return" in doc
 
 
+def test_backtest_benchmarks_without_out_go_to_stdout(tmp_path, capsys):
+    config = write_config(tmp_path)
+    rc = run_cli(["backtest", "--config", config, "--benchmarks",
+                  "--no-timestamp"])
+    assert rc == 0
+    text, docs, at = capsys.readouterr().out, [], 0
+    while at < len(text):
+        doc, at = json.JSONDecoder().raw_decode(text, at)
+        docs.append(doc)
+        at += 1  # the newline after each report
+    assert [d["status"] for d in docs] == ["ok", "ok"]
+    assert "benchmark" not in docs[0] and "config" in docs[0]
+    assert docs[1]["benchmark"] == "equal_weight"
+    assert "cumulative_return" in docs[1]
+
+
 def test_benchmark_sharpe_uses_run_basis(tmp_path):
     # a nonzero risk-free rate and a non-daily year: the benchmark report
     # must be scored on the same basis as backtest.json
@@ -540,14 +574,54 @@ def test_malformed_config(tmp_path, capsys):
         ("solve", {"constraints": {"leverage": None}}),
         ("solve", {"data": {"periods_per_year": None}}),
         ("backtest", {"utility": {"kind": "power", "delta": [0.5]}}),
+        # an integer beyond the float range
+        ("solve", {"constraints": {"leverage": 10 ** 400}}),
     ],
-    ids=["partition-eps_x", "leverage", "periods_per_year", "utility-delta"],
+    ids=["partition-eps_x", "leverage", "periods_per_year", "utility-delta",
+         "leverage-huge-int"],
 )
 def test_config_value_of_wrong_type(tmp_path, capsys, command, overrides):
     config = write_config(tmp_path, **overrides)
     rc = run_cli([command, "--config", config])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: bad config value")
+
+
+@pytest.mark.parametrize("section, key, literal", [
+    ("constraints", "leverage", "NaN"),
+    ("constraints", "leverage", "Infinity"),
+    ("constraints", "leverage", "1e400"),  # json reads it as inf
+    ("constraints", "cost_rate", "NaN"),
+    ("utility", "beta", "Infinity"),
+], ids=["leverage-nan", "leverage-inf", "leverage-1e400", "cost_rate-nan",
+        "beta-inf"])
+def test_non_finite_config_number_is_a_usage_error(tmp_path, capsys,
+                                                   monkeypatch, section, key,
+                                                   literal):
+    config = write_config(tmp_path, **{section: {key: "VALUE"}})
+    path = tmp_path / "config.json"
+    path.write_text(path.read_text().replace('"VALUE"', literal))
+    monkeypatch.setattr(backtest, "solve_rebalance",
+                        lambda *a, **k: pytest.fail("solved a rebalance"))
+    for command in ("solve", "backtest"):
+        rc = run_cli([command, "--config", config])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: config value is not a finite number: {literal}\n")
+
+
+@pytest.mark.parametrize("command, sweep, value", [
+    ("solve", "gamma=0,nan", "nan"), ("backtest", "cost_rate=inf", "inf"),
+], ids=["solve", "backtest"])
+def test_non_finite_sweep_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                 command, sweep, value):
+    config = write_config(tmp_path)
+    monkeypatch.setattr(backtest, "solve_rebalance",
+                        lambda *a, **k: pytest.fail("solved a rebalance"))
+    rc = run_cli([command, "--config", config, "--sweep", sweep])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: sweep value is not a finite number: {value}\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "backtest"])

@@ -82,10 +82,10 @@ def test_inner_worst_case_consistency(log_utility):
 
 def test_duality_gap_small_at_optimum_and_grows_off_it(log_utility):
     rng = np.random.default_rng(8)
-    scen, amb, con = oracle.random_small_instance(
-        rng, cost_rate=0.0, gamma_choices=(0.3,)
-    )
-    sol, _, _ = oracle._solve_robust(scen, amb, con, log_utility, 1e-7)
+    scen, _, con = oracle.random_small_instance(rng, cost_rate=0.0)
+    amb = dp.from_gamma(scen.probabilities, 0.3)
+    sol, _, _ = robust_lp.rebalance(scen, amb, con, log_utility,
+                                    dp.ErrorBudget(5e-8, 5e-8), np.zeros(scen.n))
     gap = oracle.duality_gap(sol.weights, sol, scen, amb, log_utility)
     assert 0.0 <= gap <= 1e-6 + 1e-7
     # corrupt the inequality multipliers: weak duality still holds, so the
@@ -405,17 +405,36 @@ def test_concavity_probe_clean(log_utility):
     report = oracle.concavity_probe(
         log_utility, scen, trials=200, seed=3, con=con
     )
-    assert report.passed
-    assert len(report.violations) == 0
-    assert report.trials == 200
+    assert report["passed"]
+    assert report["violation_count"] == 0
+    assert report["trials"] == 200
 
 
 def test_survival_probe_clean(log_utility):
     rng = np.random.default_rng(14)
     scen, _, con = oracle.random_small_instance(rng, cost_rate=0.002)
     report = oracle.survival_probe(scen, con, trials=500, seed=11)
-    assert report.passed
-    assert len(report.violations) == 0
+    assert report["passed"]
+    assert report["violation_count"] == 0
+
+
+def test_probes_return_their_verify_report(log_utility):
+    # the probes' dicts are the verify.json entries, unchanged
+    seed = 3
+    suites = oracle.run_all(seed, suites=("concavity", "survivability"))["suites"]
+    scen = oracle._make_probe_scenarios(seed)
+    log = oracle.concavity_probe(log_utility, scen, 300, seed=seed)
+    power = oracle.concavity_probe(dp.SeparableUtility("power", delta=0.5), scen,
+                                   300, seed=seed + 1)
+    con = robust_lp.TradingConstraintSet.uniform(
+        3, leverage=1.5, cost_rate=0.005, turnover_cost_limit=0.5)
+    survival = oracle.survival_probe(oracle._make_probe_scenarios(seed + 7), con,
+                                     1000, seed=seed)
+    for report in (log, power, survival):
+        assert isinstance(report, dict)
+    assert suites["concavity"]["log"] == log
+    assert suites["concavity"]["power"] == power
+    assert suites["survivability"] == survival
 
 
 def test_verify_suites_pass(log_utility):

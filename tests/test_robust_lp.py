@@ -406,6 +406,24 @@ def test_unbounded_column_is_unbounded():
     assert sol.weights is None and sol.basis is None
 
 
+def test_nan_residual_is_numerical(log_utility):
+    # NaN cost rates on the cost-leg cuts: HiGHS still reports an optimum,
+    # but the point's row violations over the model are NaN
+    model = warm_start_instance(log_utility)
+    lo, hi = model.row_sections["cuts_c"]
+    A = model.A_ub.copy()
+    seg = slice(A.indptr[lo], A.indptr[hi])
+    u = model.layout.u
+    A.data[seg][(A.indices[seg] >= u.start) & (A.indices[seg] < u.stop)] = np.nan
+    bad = dataclasses.replace(model, A_ub=A)
+    assert (robust_lp._run_highs(bad).status
+            == robust_lp.highs.HighsModelStatus.kOptimal)
+    sol = robust_lp.solve(bad)
+    assert sol.status == "numerical"
+    assert math.isnan(sol.residual)
+    assert sol.weights is None and sol.objective is None
+
+
 @pytest.mark.parametrize(
     "status", ["kIterationLimit", "kUnboundedOrInfeasible", "kTimeLimit",
                "kSolveError", "kModelError"])
@@ -508,3 +526,11 @@ def test_constraint_set_validation():
         robust_lp.TradingConstraintSet.uniform(
             2, leverage=1.5, cost_rate=0.001, turnover_cost_limit=1.0
         )
+    # NaN fails every comparison, so each check must still refuse it
+    nan = float("nan")
+    for leverage, rate, caps in ((nan, 0.001, None), (np.inf, 0.001, None),
+                                 (1.5, nan, None), (1.5, 0.001, [0.5, nan])):
+        with pytest.raises(ValueError):
+            robust_lp.TradingConstraintSet.uniform(
+                2, leverage=leverage, cost_rate=rate, turnover_cost_limit=0.01,
+                holding_caps=caps)
