@@ -50,28 +50,6 @@ class BacktestConfig:
         if self.periods_per_year < 1:
             raise ValueError("periods_per_year must be at least 1")
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "BacktestConfig":
-        bt = cfg.get("backtest", {})
-        cons = cfg.get("constraints", {})
-        budget = cfg.get("budget", {})
-        amb = cfg.get("ambiguity", {})
-        data = cfg.get("data", {})
-        return cls(
-            train_window=int(bt.get("train_window", 126)),
-            rebalance_every=int(bt.get("rebalance_every", 63)),
-            leverage=float(cons.get("leverage", 1.5)),
-            cost_rate=float(cons.get("cost_rate", 0.0)),
-            turnover_cost_limit=float(cons.get("c_max", 0.0)),
-            gamma=float(amb.get("gamma", 0.0)),
-            eps_x=float(budget.get("eps_x", 1e-3)),
-            eps_c=float(budget.get("eps_c", 1e-5)),
-            utility=SeparableUtility.from_config(cfg.get("utility", {"kind": "log"})),
-            risk_free_annual=float(data.get("risk_free_annual", 0.0)),
-            periods_per_year=int(data.get("periods_per_year", 252)),
-            allow_short=bool(cons.get("allow_short", True)),
-        )
-
     @property
     def budget(self) -> ErrorBudget:
         """Per-axis error budget of the tangent-plane family."""

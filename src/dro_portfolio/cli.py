@@ -8,7 +8,6 @@ codes: 0 success, 1 solve or property failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -76,9 +75,29 @@ def _finite(value, what: str) -> float:
     return number
 
 
+# Every config section and key with its default.  A value must have the
+# JSON type of its default; None marks an optional number.
+_SCHEMA = {
+    "data": {"csv": "", "risk_free_annual": None, "periods_per_year": 252},
+    "backtest": {"train_window": 126, "rebalance_every": 63},
+    "constraints": {"leverage": 1.5, "cost_rate": 0.0, "c_max": 0.0,
+                    "allow_short": True},
+    "budget": {"eps_x": 1e-3, "eps_c": 1e-5},
+    "ambiguity": {"gamma": 0.0},
+    "utility": {"kind": "log", "alpha": 1.0, "beta": 1.0, "delta": None,
+                "theta": None},
+    "partition": {"eps_x": 0.0, "eps_c": 0.0, "x_min": -0.2, "x_max": 0.2,
+                  "c_max": 0.02},
+}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number",
+             type(None): "a number or null", str: "a string"}
+
+
 def _load_config(args) -> dict:
+    """Every section of the config file, with its defaults filled in."""
+    cfg = {name: dict(keys) for name, keys in _SCHEMA.items()}
     if not args.config:
-        return {}
+        return cfg
     if not os.path.exists(args.config):
         raise UsageError(f"config file not found: {args.config}")
 
@@ -89,39 +108,54 @@ def _load_config(args) -> dict:
 
     with open(args.config, encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh, parse_constant=number, parse_float=number)
+            given = json.load(fh, parse_constant=number, parse_float=number)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
+    if not isinstance(given, dict):
         raise UsageError("config must be a JSON object")
-    for name, section in cfg.items():
+    for name, section in given.items():
         if not isinstance(section, dict):
             raise UsageError(f"config section {name!r} must be a JSON object")
+        if name not in _SCHEMA:
+            raise UsageError(f"bad config value: unknown section {name}")
+        for key, value in section.items():
+            if key not in _SCHEMA[name]:
+                raise UsageError(f"bad config value: unknown key {name}.{key}")
+            cfg[name][key] = _config_value(f"{name}.{key}", value,
+                                           _SCHEMA[name][key])
     return cfg
 
 
-@contextlib.contextmanager
-def _config_values():
-    """Report a config value of the wrong type or range as a usage error."""
+def _config_value(where: str, value, default):
+    """value if it has the JSON type of default, with a number as a float."""
+    kind = type(default)
+    if kind in (float, type(None)) and type(value) in (int, float) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    if type(value) is kind:
+        return value
+    raise UsageError(f"bad config value: {where} must be {_EXPECTED[kind]}, "
+                     f"not {json.dumps(value)}")
+
+
+def _config_object(cls, **fields):
+    """cls(**fields), with a config value out of its range a usage error."""
     try:
-        yield
-    except (TypeError, ValueError, OverflowError) as exc:
+        return cls(**fields)
+    except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
 
 
 def _load_returns(data_cfg: dict):
-    path = data_cfg.get("csv")
+    path = data_cfg["csv"]
     if not path:
         raise UsageError("config needs data.csv pointing at the price file")
     if not os.path.exists(path):
         raise UsageError(f"data file not found: {path}")
-    series = interpolate_missing(load_prices(path))
-    returns = compute_returns(series)
-    rf = data_cfg.get("risk_free_annual")
-    if rf is not None:
-        with _config_values():
-            rf, per_year = float(rf), int(data_cfg.get("periods_per_year", 252))
-        returns = append_risk_free(returns, rf, per_year)
+    returns = compute_returns(interpolate_missing(load_prices(path)))
+    if data_cfg["risk_free_annual"] is not None:
+        returns = append_risk_free(returns, data_cfg["risk_free_annual"],
+                                   data_cfg["periods_per_year"])
     return returns
 
 
@@ -132,9 +166,15 @@ def _run_configs(args, field: str, vary):
     per value instead, made by ``vary(config, value)``.
     """
     cfg = _load_config(args)
-    returns = _load_returns(cfg.get("data", {}))
-    with _config_values():
-        config = bt.BacktestConfig.from_config(cfg)
+    cons, data = cfg["constraints"], cfg["data"]
+    config = _config_object(
+        bt.BacktestConfig, **cfg["backtest"], **cfg["budget"], **cfg["ambiguity"],
+        leverage=cons["leverage"], cost_rate=cons["cost_rate"],
+        turnover_cost_limit=cons["c_max"], allow_short=cons["allow_short"],
+        utility=_config_object(SeparableUtility, **cfg["utility"]),
+        risk_free_annual=data["risk_free_annual"] or 0.0,
+        periods_per_year=data["periods_per_year"])
+    returns = _load_returns(data)
     if not args.sweep:
         return returns, [config]
     if "=" not in args.sweep:
@@ -155,24 +195,17 @@ def _run_configs(args, field: str, vary):
 
 def cmd_partition(args) -> int:
     cfg = _load_config(args)
-    pc = cfg.get("partition", {})
-    eps_x = args.eps_x if args.eps_x is not None else pc.get("eps_x", 0.0)
-    eps_c = args.eps_c if args.eps_c is not None else pc.get("eps_c", 0.0)
-    x_lo = args.x_min if args.x_min is not None else pc.get("x_min", -0.2)
-    x_hi = args.x_max if args.x_max is not None else pc.get("x_max", 0.2)
-    c_hi = args.c_max if args.c_max is not None else pc.get("c_max", 0.02)
-    with _config_values():
-        eps_x, eps_c, x_lo, x_hi, c_hi = (
-            _finite(v, name) for v, name in zip(
-                (eps_x, eps_c, x_lo, x_hi, c_hi),
-                ("eps_x", "eps_c", "x_min", "x_max", "c_max")))
-        utility = SeparableUtility.from_config(cfg.get("utility", {"kind": "log"}))
-    if eps_x <= 0 or eps_c <= 0:
+    pc = cfg["partition"]
+    for key in pc:
+        if getattr(args, key) is not None:
+            pc[key] = _finite(getattr(args, key), key)
+    utility = _config_object(SeparableUtility, **cfg["utility"])
+    if pc["eps_x"] <= 0 or pc["eps_c"] <= 0:
         raise UsageError("partition needs positive eps_x and eps_c budgets")
-    if not 0.0 <= c_hi < 1.0:
+    if not 0.0 <= pc["c_max"] < 1.0:
         raise UsageError("partition needs c_max in [0, 1)")
-    budget = ErrorBudget(eps_x, eps_c)
-    fam = build_family(utility, x_lo, x_hi, 0.0, c_hi, budget)
+    budget = ErrorBudget(pc["eps_x"], pc["eps_c"])
+    fam = build_family(utility, pc["x_min"], pc["x_max"], 0.0, pc["c_max"], budget)
     sup_x, sup_c, sup_joint = certify_error(utility, fam, grid=2000)
     removal_table = []
     for axis, eps in (("x", budget.eps_x), ("c", budget.eps_c)):

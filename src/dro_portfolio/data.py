@@ -10,6 +10,7 @@ empirical weights.
 from __future__ import annotations
 
 import csv
+import datetime
 import logging
 from dataclasses import dataclass
 
@@ -32,7 +33,10 @@ class OrderingError(ValueError):
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Adjusted close prices, n tickers by T dates; NaN flags a missing cell."""
+    """Adjusted close prices, n tickers by T dates; NaN flags a missing cell.
+
+    dates holds ``datetime.date`` values, so their order is calendar order.
+    """
 
     dates: tuple
     tickers: tuple
@@ -45,6 +49,8 @@ class PriceSeries:
         object.__setattr__(self, "tickers", tuple(self.tickers))
         if len(set(self.tickers)) != len(self.tickers):
             raise ValueError("duplicate tickers")
+        if not all(isinstance(d, datetime.date) for d in self.dates):
+            raise TypeError("dates must be datetime.date values")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise OrderingError("dates must be strictly increasing")
         if prices.shape != (len(self.tickers), len(self.dates)):
@@ -125,8 +131,9 @@ class ScenarioSet:
 def load_prices(path) -> PriceSeries:
     """Parse the CSV at path into a PriceSeries with missing cells flagged.
 
-    Raises ParseError with the offending line number on malformed rows and
-    OrderingError on non-monotone or duplicate dates.
+    Raises ParseError with the offending line number on malformed rows or
+    dates that are not ISO-8601, and OrderingError on non-monotone or
+    duplicate dates.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -148,7 +155,10 @@ def load_prices(path) -> PriceSeries:
                 raise ParseError(
                     f"expected {len(header)} fields, got {len(row)}", lineno
                 )
-            dates.append(row[0].strip())
+            try:
+                dates.append(datetime.date.fromisoformat(row[0].strip()))
+            except ValueError:
+                raise ParseError(f"bad date {row[0]!r}", lineno) from None
             cells = []
             for ticker, cell in zip(tickers, row[1:]):
                 cell = cell.strip()
@@ -170,7 +180,7 @@ def interpolate_missing(series: PriceSeries) -> PriceSeries:
     """Fill interior gaps linearly; drop tickers missing at either boundary.
 
     Observed cells are untouched.  Dropped tickers are reported through the
-    module logger, not raised.
+    module logger; a ValueError names them when none is left.
     """
     keep = []
     dropped = []
@@ -187,14 +197,13 @@ def interpolate_missing(series: PriceSeries) -> PriceSeries:
             idx = np.arange(row.size)
             repaired_rows.append(np.interp(idx, obs, row[obs]))
         keep.append(ticker)
+    if not keep:
+        raise ValueError("no ticker has both its first and last price: "
+                         f"dropped {', '.join(dropped)}")
     if dropped:
         log.warning("dropped tickers with missing boundary prices: %s", dropped)
-    prices = (
-        np.vstack(repaired_rows)
-        if repaired_rows
-        else np.zeros((0, len(series.dates)))
-    )
-    return PriceSeries(dates=series.dates, tickers=tuple(keep), prices=prices)
+    return PriceSeries(dates=series.dates, tickers=tuple(keep),
+                       prices=np.vstack(repaired_rows))
 
 
 def compute_returns(series: PriceSeries) -> ReturnMatrix:

@@ -119,15 +119,3 @@ class SeparableUtility:
         if np.any(c < 0.0) or np.any(c >= 1.0):
             raise UtilityDomainError("phi2 requires 0 <= c < 1")
         return c if c.ndim else float(c)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SeparableUtility":
-        """Build from a JSON config fragment like {"kind": "log", "alpha": 1.0}."""
-        delta, theta = cfg.get("delta"), cfg.get("theta")
-        return cls(
-            kind=cfg.get("kind", "log"),
-            alpha=float(cfg.get("alpha", 1.0)),
-            beta=float(cfg.get("beta", 1.0)),
-            delta=None if delta is None else float(delta),
-            theta=None if theta is None else float(theta),
-        )

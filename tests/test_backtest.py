@@ -329,50 +329,6 @@ def test_benchmark_single_asset_with_entry_cost(two_regime_returns):
     np.testing.assert_allclose(bench.values[1:], manual, rtol=1e-12)
 
 
-def test_config_parsing(log_utility):
-    cfg = backtest.BacktestConfig.from_config(
-        {
-            "backtest": {
-                "train_window": 50,
-                "rebalance_every": 10,
-                "risk_free_annual": 0.03,
-                "periods_per_year": 252,
-            },
-            "constraints": {
-                "leverage": 2.0,
-                "cost_rate": 0.002,
-                "turnover_cost_limit": 0.01,
-                "allow_short": False,
-            },
-            "budget": {"eps_x": 1e-4, "eps_c": 1e-5},
-            "ambiguity": {"gamma": 0.3},
-            "utility": {"kind": "power", "delta": 0.4},
-        }
-    )
-    assert cfg.train_window == 50
-    assert cfg.leverage == 2.0
-    assert cfg.gamma == 0.3
-    assert cfg.utility.kind == "power"
-    assert not cfg.allow_short
-
-
-def test_config_rejects_bad_utility():
-    with pytest.raises(ValueError):
-        backtest.BacktestConfig.from_config(
-            {
-                "backtest": {"train_window": 50, "rebalance_every": 10},
-                "constraints": {
-                    "leverage": 1.5,
-                    "cost_rate": 0.0,
-                    "turnover_cost_limit": 0.0,
-                },
-                "budget": {"eps_x": 1e-5, "eps_c": 1e-5},
-                "ambiguity": {"gamma": 0.0},
-                "utility": {"kind": "cubic"},
-            }
-        )
-
-
 def test_forced_decomposition_changes_nothing(two_regime_returns, log_utility,
                                              monkeypatch):
     cfg = backtest.BacktestConfig(

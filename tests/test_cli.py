@@ -28,6 +28,12 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+def read_config(path):
+    """The returns and the run config that ``backtest`` reads from path."""
+    args = cli.build_parser().parse_args(["backtest", "--config", path])
+    return cli._run_configs(args, "cost_rate", None)
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = {
         "data": {
@@ -339,12 +345,7 @@ def test_backtest_outputs(tmp_path):
     assert doc["config"]["train_window"] == 60
     assert doc["cumulative_return"] > -1.0
     assert 0.0 <= doc["max_drawdown"] <= 1.0
-    returns = data.append_risk_free(
-        data.compute_returns(data.interpolate_missing(data.load_prices(FIXTURE))),
-        0.02, 252,
-    )
-    cfg = backtest.BacktestConfig.from_config(
-        json.loads((tmp_path / "config.json").read_text()))
+    returns, (cfg,) = read_config(config)
     path, _ = backtest.run(cfg, returns)
     assert doc["avg_iterations"] == np.mean(path.iterations) > 0
 
@@ -643,6 +644,102 @@ def test_periods_per_year_below_one_is_a_usage_error(tmp_path, capsys,
         "error: bad config value: periods_per_year must be at least 1\n")
 
 
+def test_config_parsing(tmp_path):
+    config = write_config(
+        tmp_path,
+        data={"risk_free_annual": 0.03, "periods_per_year": 52},
+        backtest={"train_window": 50, "rebalance_every": 10},
+        constraints={"leverage": 2, "cost_rate": 0.002, "c_max": 0.01,
+                     "allow_short": False},
+        budget={"eps_x": 1e-4, "eps_c": 2e-5},
+        ambiguity={"gamma": 0.3},
+        utility={"kind": "power", "alpha": 1.5, "beta": 2.0, "delta": 0.3},
+    )
+    returns, (cfg,) = read_config(config)
+    assert cfg == backtest.BacktestConfig(
+        train_window=50, rebalance_every=10, leverage=2.0, cost_rate=0.002,
+        turnover_cost_limit=0.01, gamma=0.3, eps_x=1e-4, eps_c=2e-5,
+        utility=SeparableUtility("power", alpha=1.5, beta=2.0, delta=0.3),
+        risk_free_annual=0.03, periods_per_year=52, allow_short=False)
+    assert type(cfg.leverage) is float
+    # the risk-free leg compounds the annual rate over 52 periods
+    assert returns.tickers == ("ALPHA", "BRAVO", "CHARLIE", "RF")
+    np.testing.assert_allclose(returns.returns[3], 1.03 ** (1 / 52) - 1,
+                               rtol=1e-12)
+
+
+def test_config_defaults(tmp_path):
+    # a config holding only the price file runs every default, with no
+    # risk-free leg
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"csv": FIXTURE}}))
+    returns, (cfg,) = read_config(str(config))
+    assert returns.tickers == ("ALPHA", "BRAVO", "CHARLIE")
+    assert cfg == backtest.BacktestConfig(
+        train_window=126, rebalance_every=63, leverage=1.5, cost_rate=0.0,
+        turnover_cost_limit=0.0, gamma=0.0, eps_x=1e-3, eps_c=1e-5,
+        utility=SeparableUtility("log"))
+
+
+@pytest.mark.parametrize("command", ["solve", "backtest", "partition"])
+def test_config_rejects_bad_utility(tmp_path, capsys, monkeypatch, command):
+    config = write_config(tmp_path, utility={"kind": "cubic"},
+                          partition={"eps_x": 1e-3, "eps_c": 1e-3})
+    monkeypatch.setattr(backtest, "solve_rebalance",
+                        lambda *a, **k: pytest.fail("solved a rebalance"))
+    monkeypatch.setattr(cli, "build_family",
+                        lambda *a, **k: pytest.fail("built a family"))
+    rc = run_cli([command, "--config", config])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bad config value: unknown utility kind 'cubic'\n")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"constraints": {"allow_short": "false"}},
+     'constraints.allow_short must be true or false, not "false"'),
+    ({"backtest": {"train_window": 60.7}},
+     "backtest.train_window must be an integer, not 60.7"),
+    ({"backtest": {"rebalance_every": True}},
+     "backtest.rebalance_every must be an integer, not true"),
+    ({"utility": {"beta": "inf"}}, 'utility.beta must be a number, not "inf"'),
+    ({"data": {"risk_free_annual": "nan"}},
+     'data.risk_free_annual must be a number or null, not "nan"'),
+    ({"constraints": {"turnover_cost_limit": 0.01}},
+     "unknown key constraints.turnover_cost_limit"),
+    ({"backtest": {"risk_free_annual": 0.03}},
+     "unknown key backtest.risk_free_annual"),
+    ({"solver": {"method": "highs"}}, "unknown section solver"),
+], ids=["allow_short-string", "train_window-fraction", "rebalance_every-bool",
+        "beta-string", "risk_free_annual-string", "unknown-key",
+        "key-in-another-section", "unknown-section"])
+def test_wrong_config_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                             overrides, message):
+    config = write_config(tmp_path, **overrides)
+    monkeypatch.setattr(backtest, "solve_rebalance",
+                        lambda *a, **k: pytest.fail("solved a rebalance"))
+    for command in ("solve", "backtest"):
+        rc = run_cli([command, "--config", config])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: bad config value: {message}\n"
+
+
+def test_readme_config_schema_is_the_reader_schema(tmp_path):
+    # the README's schema block lists every key at its default, so it
+    # loads to exactly the defaults the reader fills in
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        block = fh.read().split("### Config schema")[1].split("```json")[1]
+    document = json.loads(block.split("```")[0])
+    document["data"]["csv"] = FIXTURE
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(document))
+    args = cli.build_parser().parse_args(["solve", "--config", str(config)])
+    expected = json.loads(json.dumps(cli._SCHEMA))
+    expected["data"]["csv"] = FIXTURE
+    assert cli._load_config(args) == expected == document
+
+
 @pytest.mark.parametrize("document", ["[]", '{"constraints": []}'],
                          ids=["top-level-list", "section-list"])
 def test_config_sections_must_be_objects(tmp_path, capsys, document):
@@ -659,6 +756,30 @@ def test_missing_data_file(tmp_path, capsys):
     rc = run_cli(["solve", "--config", config])
     assert rc == 2
     assert "/no/such/prices.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("risk_free", [None, 0.02], ids=["risky", "with-rf"])
+def test_price_file_with_no_usable_ticker_is_an_input_error(
+        tmp_path, capsys, monkeypatch, risk_free):
+    csv = tmp_path / "gaps.csv"
+    csv.write_text("date,A,B\n2024-01-02,,50\n2024-01-03,101,49\n"
+                   "2024-01-04,102,\n")
+    config = tmp_path / "config.json"
+    data_cfg = {"csv": str(csv)}
+    if risk_free is not None:
+        data_cfg["risk_free_annual"] = risk_free
+    config.write_text(json.dumps({
+        "data": data_cfg,
+        "backtest": {"train_window": 2, "rebalance_every": 1},
+    }))
+    monkeypatch.setattr(backtest, "solve_rebalance",
+                        lambda *a, **k: pytest.fail("solved a rebalance"))
+    for command in ("solve", "backtest"):
+        rc = run_cli([command, "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no ticker has both its first and last price: "
+            "dropped A, B\n")
 
 
 def test_console_script():

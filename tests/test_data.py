@@ -1,4 +1,5 @@
 """CSV ingestion, interpolation, return computation, scenario construction."""
+import datetime
 import math
 
 import numpy as np
@@ -52,6 +53,25 @@ def test_dates_must_increase(tmp_path):
     dup = "date,AAA\n2024-01-03,100.0\n2024-01-03,101.0\n"
     with pytest.raises(OrderingError):
         data_mod.load_prices(write_csv(tmp_path, dup))
+
+
+@pytest.mark.parametrize("first, second, line, bad", [
+    ("1/9/2021", "1/12/2021", 2, "1/9/2021"),  # rising as dates, not as text
+    ("2021-01-09", "foo", 3, "foo"),
+], ids=["us-style", "not-a-date"])
+def test_date_that_is_not_iso_is_a_parse_error(tmp_path, first, second, line,
+                                              bad):
+    text = f"date,AAA\n{first},100.0\n{second},101.0\n"
+    with pytest.raises(ParseError, match=f"line {line}: bad date '{bad}'"):
+        data_mod.load_prices(write_csv(tmp_path, text))
+
+
+def test_dates_are_ordered_as_dates(tmp_path):
+    series = data_mod.load_prices(write_csv(tmp_path, GOOD))
+    assert series.dates[0] == datetime.date(2024, 1, 2)
+    with pytest.raises(TypeError):
+        data_mod.PriceSeries(dates=("2024-01-02",), tickers=("AAA",),
+                             prices=[[100.0]])
 
 
 def test_duplicate_ticker_rejected(tmp_path):

@@ -117,12 +117,6 @@ def test_crra_value_formula():
     )
 
 
-def test_from_config_round_trip():
-    cfg = {"kind": "power", "alpha": 1.5, "beta": 2.0, "delta": 0.3}
-    u = SeparableUtility.from_config(cfg)
-    assert u.kind == "power" and u.delta == 0.3 and u.alpha == 1.5
-
-
 @pytest.mark.parametrize(
     "u, phi2, phi2_prime",
     [
