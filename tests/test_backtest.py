@@ -1,12 +1,14 @@
 """Backtest engine: account recursion, metrics, cost accounting, benchmarks."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from dro_portfolio import backtest, data as data_mod, robust_lp
+from dro_portfolio import backtest, cli, data as data_mod, robust_lp
+from dro_portfolio.utility import SeparableUtility
 
-from conftest import crash_market, with_contradictory_leverage
+from conftest import TWO_REGIME_CSV, crash_market, with_contradictory_leverage
 from reference_lp import assemble_product
 
 
@@ -327,6 +329,34 @@ def test_benchmark_single_asset_with_entry_cost(two_regime_returns):
     R = two_regime_returns.returns
     manual = 0.99 * (1.0 + R[0, 60:]).cumprod()
     np.testing.assert_allclose(bench.values[1:], manual, rtol=1e-12)
+
+
+def test_config_parsing(tmp_path):
+    # the config file reaches BacktestConfig through the cli reader, with
+    # its real keys (c_max, data.*)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"csv": TWO_REGIME_CSV, "risk_free_annual": 0.03,
+                 "periods_per_year": 52},
+        "backtest": {"train_window": 50, "rebalance_every": 10},
+        "constraints": {"leverage": 2, "cost_rate": 0.002, "c_max": 0.01,
+                        "allow_short": False},
+        "budget": {"eps_x": 1e-4, "eps_c": 2e-5},
+        "ambiguity": {"gamma": 0.3},
+        "utility": {"kind": "power", "delta": 0.4},
+    }))
+    args = cli.build_parser().parse_args(["backtest", "--config", str(config)])
+    returns, (cfg,) = cli._run_configs(args, "cost_rate", None)
+    assert cfg == backtest.BacktestConfig(
+        train_window=50, rebalance_every=10, leverage=2.0, cost_rate=0.002,
+        turnover_cost_limit=0.01, gamma=0.3, eps_x=1e-4, eps_c=2e-5,
+        utility=SeparableUtility("power", delta=0.4),
+        risk_free_annual=0.03, periods_per_year=52, allow_short=False)
+    assert type(cfg.leverage) is float
+    # the risk-free leg compounds the annual rate over 52 periods
+    assert returns.tickers == ("ALPHA", "BRAVO", "CHARLIE", "RF")
+    np.testing.assert_allclose(returns.returns[3], 1.03 ** (1 / 52) - 1,
+                               rtol=1e-12)
 
 
 def test_forced_decomposition_changes_nothing(two_regime_returns, log_utility,

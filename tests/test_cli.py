@@ -644,30 +644,6 @@ def test_periods_per_year_below_one_is_a_usage_error(tmp_path, capsys,
         "error: bad config value: periods_per_year must be at least 1\n")
 
 
-def test_config_parsing(tmp_path):
-    config = write_config(
-        tmp_path,
-        data={"risk_free_annual": 0.03, "periods_per_year": 52},
-        backtest={"train_window": 50, "rebalance_every": 10},
-        constraints={"leverage": 2, "cost_rate": 0.002, "c_max": 0.01,
-                     "allow_short": False},
-        budget={"eps_x": 1e-4, "eps_c": 2e-5},
-        ambiguity={"gamma": 0.3},
-        utility={"kind": "power", "alpha": 1.5, "beta": 2.0, "delta": 0.3},
-    )
-    returns, (cfg,) = read_config(config)
-    assert cfg == backtest.BacktestConfig(
-        train_window=50, rebalance_every=10, leverage=2.0, cost_rate=0.002,
-        turnover_cost_limit=0.01, gamma=0.3, eps_x=1e-4, eps_c=2e-5,
-        utility=SeparableUtility("power", alpha=1.5, beta=2.0, delta=0.3),
-        risk_free_annual=0.03, periods_per_year=52, allow_short=False)
-    assert type(cfg.leverage) is float
-    # the risk-free leg compounds the annual rate over 52 periods
-    assert returns.tickers == ("ALPHA", "BRAVO", "CHARLIE", "RF")
-    np.testing.assert_allclose(returns.returns[3], 1.03 ** (1 / 52) - 1,
-                               rtol=1e-12)
-
-
 def test_config_defaults(tmp_path):
     # a config holding only the price file runs every default, with no
     # risk-free leg

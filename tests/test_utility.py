@@ -1,10 +1,13 @@
 """Utility family: values against stdlib math, derivatives against finite differences."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dro_portfolio import SeparableUtility, UtilityDomainError
+from dro_portfolio import SeparableUtility, UtilityDomainError, cli
+
+from conftest import TWO_REGIME_CSV
 
 
 def central_diff(fn, x, h=1e-6):
@@ -115,6 +118,20 @@ def test_crra_value_formula():
     assert u.phi1(x) == pytest.approx(
         (1.0 + x) ** (1.0 - theta) / (1.0 - theta), rel=1e-14
     )
+
+
+def test_from_config_round_trip(tmp_path):
+    # the utility section of a config file reaches the run config as given
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"csv": TWO_REGIME_CSV},
+        "utility": {"kind": "power", "alpha": 1.5, "beta": 2.0, "delta": 0.3},
+    }))
+    args = cli.build_parser().parse_args(["solve", "--config", str(config)])
+    _, (run,) = cli._run_configs(args, "cost_rate", None)
+    u = run.utility
+    assert u == SeparableUtility("power", alpha=1.5, beta=2.0, delta=0.3)
+    assert u.kind == "power" and u.delta == 0.3 and u.alpha == 1.5
 
 
 @pytest.mark.parametrize(
