@@ -40,9 +40,9 @@ class BacktestConfig:
     eps_x: float
     eps_c: float
     utility: SeparableUtility
-    risk_free_annual: float = 0.0
-    periods_per_year: int = 252
-    allow_short: bool = True
+    risk_free_annual: float
+    periods_per_year: int
+    allow_short: bool
 
     def __post_init__(self):
         if self.train_window < 1 or self.rebalance_every < 1:

@@ -1,8 +1,9 @@
 """Command-line front door: partition, solve, backtest, verify.
 
-Reports are JSON, plot series are CSV, outputs are written atomically,
-and every command is deterministic given the config and seed.  Exit
-codes: 0 success, 1 solve or property failure, 2 usage or input error.
+Reports are JSON, plot series are CSV, and outputs are written
+atomically.  A command's reports depend only on its flags and config
+file, apart from timestamps and solve timings.  Exit codes: 0 success,
+1 solve or property failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ def _atomic_write(path: str, text: str):
 def _emit_json(doc: dict, args, filename: str):
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    doc["seed"] = args.seed
     text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\n"
     if args.out:
         _atomic_write(os.path.join(args.out, filename), text)
@@ -86,8 +86,6 @@ _SCHEMA = {
     "ambiguity": {"gamma": 0.0},
     "utility": {"kind": "log", "alpha": 1.0, "beta": 1.0, "delta": None,
                 "theta": None},
-    "partition": {"eps_x": 0.0, "eps_c": 0.0, "x_min": -0.2, "x_max": 0.2,
-                  "c_max": 0.02},
 }
 _EXPECTED = {bool: "true or false", int: "an integer", float: "a number",
              type(None): "a number or null", str: "a string"}
@@ -180,11 +178,20 @@ def _run_configs(args, field: str, vary):
     if "=" not in args.sweep:
         raise UsageError("sweep must look like name=v1,v2,...")
     name, _, raw = args.sweep.partition("=")
-    values = [_finite(v, "sweep value") for v in raw.split(",") if v != ""]
+    texts = [v for v in raw.split(",") if v != ""]
+    values = [_finite(v, "sweep value") for v in texts]
     if not values:
         raise UsageError("sweep needs at least one value")
     if name.strip() != field:
         raise UsageError(f"{args.command} only sweeps {field}")
+    # a value's reports are named by its :g form
+    named = {}
+    for text, value in zip(texts, values):
+        tag = f"{value:g}"
+        if tag in named:
+            raise UsageError(f"sweep values {named[tag]} and {text} would "
+                             f"both write the {field} {tag} reports")
+        named[tag] = text
     return returns, [vary(config, v) for v in values]
 
 
@@ -195,17 +202,16 @@ def _run_configs(args, field: str, vary):
 
 def cmd_partition(args) -> int:
     cfg = _load_config(args)
-    pc = cfg["partition"]
-    for key in pc:
-        if getattr(args, key) is not None:
-            pc[key] = _finite(getattr(args, key), key)
+    eps_x, eps_c, x_min, x_max, c_max = (
+        _finite(getattr(args, key), key)
+        for key in ("eps_x", "eps_c", "x_min", "x_max", "c_max"))
     utility = _config_object(SeparableUtility, **cfg["utility"])
-    if pc["eps_x"] <= 0 or pc["eps_c"] <= 0:
+    if eps_x <= 0 or eps_c <= 0:
         raise UsageError("partition needs positive eps_x and eps_c budgets")
-    if not 0.0 <= pc["c_max"] < 1.0:
+    if not 0.0 <= c_max < 1.0:
         raise UsageError("partition needs c_max in [0, 1)")
-    budget = ErrorBudget(pc["eps_x"], pc["eps_c"])
-    fam = build_family(utility, pc["x_min"], pc["x_max"], 0.0, pc["c_max"], budget)
+    budget = ErrorBudget(eps_x, eps_c)
+    fam = build_family(utility, x_min, x_max, 0.0, c_max, budget)
     sup_x, sup_c, sup_joint = certify_error(utility, fam, grid=2000)
     removal_table = []
     for axis, eps in (("x", budget.eps_x), ("c", budget.eps_c)):
@@ -361,10 +367,10 @@ def cmd_verify(args) -> int:
         if not suites:
             raise UsageError("empty suite selection")
     try:
-        report = oracle.run_all(seed=args.seed, fault=args.fault_inject,
-                                suites=suites)
+        report = oracle.run_all(seed=args.seed, suites=suites)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    report["seed"] = args.seed
     _emit_json(report, args, "verify.json")
     return 0 if report["passed"] else FAILURE
 
@@ -384,17 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory for reports")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit timestamps for byte-stable output")
 
     p = sub.add_parser("partition", help="build and certify a tangent family")
     common(p)
-    p.add_argument("--eps-x", type=float, default=None)
-    p.add_argument("--eps-c", type=float, default=None)
-    p.add_argument("--x-min", type=float, default=None)
-    p.add_argument("--x-max", type=float, default=None)
-    p.add_argument("--c-max", type=float, default=None)
+    p.add_argument("--eps-x", type=float, default=0.0,
+                   help="return-axis error budget; required, positive")
+    p.add_argument("--eps-c", type=float, default=0.0,
+                   help="cost-axis error budget; required, positive")
+    p.add_argument("--x-min", type=float, default=-0.2,
+                   help="low end of the return box (default -0.2)")
+    p.add_argument("--x-max", type=float, default=0.2,
+                   help="high end of the return box (default 0.2)")
+    p.add_argument("--c-max", type=float, default=0.02,
+                   help="high end of the cost box, in [0, 1) (default 0.02)")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("solve", help="solve one rebalance")
@@ -411,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the suites' random draws")
     p.add_argument("--suites", help="comma list; default all")
-    p.add_argument("--fault-inject", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return parser
 

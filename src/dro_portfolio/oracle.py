@@ -10,7 +10,6 @@ suites; the test suite leans on the same functions.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -443,7 +442,7 @@ def verify_inner(seed: int = 0):
     return {"passed": not failures, "trials": trials, "failures": failures}
 
 
-def verify_approximation(seed: int = 0, fault: bool = False):
+def verify_approximation(seed: int = 0):
     """Small-instance sandwich: exact value <= cut-model value <= exact + budget."""
     instances, budget = 6, 1e-5
     per_axis = ErrorBudget(budget / 2, budget / 2)
@@ -454,8 +453,6 @@ def verify_approximation(seed: int = 0, fault: bool = False):
         scen, amb, con = random_small_instance(rng, n_max=2, m_max=8)
         sol, _, fam = robust_lp.rebalance(scen, amb, con, u, per_axis,
                                           np.zeros(scen.n))
-        if fault:
-            fam = replace(fam, gamma_x=-fam.gamma_x, gamma_c=-fam.gamma_c)
         # tangency: every plane touches f at its anchor
         residual = tangency_residual(u, fam)
         if residual > 1e-12:
@@ -471,7 +468,7 @@ def verify_approximation(seed: int = 0, fault: bool = False):
     return {"passed": not failures, "instances": instances, "failures": failures}
 
 
-def run_all(seed: int = 0, fault: bool = False, suites=None) -> dict:
+def run_all(seed: int = 0, suites=None) -> dict:
     """Run the named verification suites; default runs everything.
 
     The suites run side by side (parallel.thread_map); each draws from
@@ -481,7 +478,7 @@ def run_all(seed: int = 0, fault: bool = False, suites=None) -> dict:
     registry = {
         "duality": lambda: verify_duality(seed),
         "inner": lambda: verify_inner(seed),
-        "approximation": lambda: verify_approximation(seed, fault=fault),
+        "approximation": lambda: verify_approximation(seed),
         "concavity": lambda: _concavity_suite(seed),
         "survivability": lambda: _survival_suite(seed),
     }
@@ -490,6 +487,9 @@ def run_all(seed: int = 0, fault: bool = False, suites=None) -> dict:
     unknown = [s for s in suites if s not in registry]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
+    repeated = sorted({s for s in suites if suites.count(s) > 1})
+    if repeated:
+        raise ValueError(f"suites named more than once: {repeated}")
     results = dict(zip(suites, thread_map(lambda s: registry[s](), suites)))
     passed = all(r["passed"] for r in results.values())
     return {"passed": passed, "suites": results}

@@ -13,9 +13,6 @@ import numpy as np
 
 KINDS = ("log", "power", "crra")
 
-# sample counts for the construction-time shape checks
-_VALIDATION_SAMPLES = 64
-
 
 class UtilityDomainError(ValueError):
     """Argument outside the domain of phi1 or phi2."""
@@ -52,27 +49,8 @@ class SeparableUtility:
             if self.delta is None or not 0 < self.delta < 1:
                 raise ValueError("power family needs delta in (0, 1)")
         elif self.kind == "crra":
-            if self.theta is None or not self.theta > 1:
+            if self.theta is None or not 1 < self.theta < np.inf:
                 raise ValueError("crra family needs theta > 1")
-        self._validate_shape()
-
-    def _validate_shape(self):
-        # cheap numeric guard: phi1 increasing and concave, phi2 decreasing
-        # and concave, sampled on a fixed interior grid
-        xs = np.linspace(-0.9, 3.0, _VALIDATION_SAMPLES)
-        cs = np.linspace(0.0, 0.95, _VALIDATION_SAMPLES)
-        v1 = self.phi1(xs)
-        v2 = self.phi2(cs)
-        d1 = np.diff(v1)
-        d2 = np.diff(v2)
-        if not np.all(d1 > 0):
-            raise ValueError("phi1 is not strictly increasing on the sample grid")
-        if not np.all(d2 < 0):
-            raise ValueError("phi2 is not strictly decreasing on the sample grid")
-        if not np.all(np.diff(d1) <= 1e-12):
-            raise ValueError("phi1 is not concave on the sample grid")
-        if not np.all(np.diff(d2) <= 1e-12):
-            raise ValueError("phi2 is not concave on the sample grid")
 
     # -- phi1: return leg, domain x > -1 --------------------------------
 

@@ -57,6 +57,13 @@ def crash_market():
     return data_mod.ReturnMatrix(returns=returns, tickers=("A", "B"))
 
 
+def backtest_config(**fields):
+    """A BacktestConfig with no risk-free rate, 252 periods a year and
+    shorts allowed, unless fields give them."""
+    return dp.BacktestConfig(**{"risk_free_annual": 0.0, "periods_per_year": 252,
+                                "allow_short": True, **fields})
+
+
 def small_family(u, scen, con, budget_x=1e-6, budget_c=1e-6):
     """Hyperplane family on the production approximation box of an instance."""
     x_lo, x_hi, c_hi = robust_lp.approximation_box(scen, con)
@@ -70,3 +77,11 @@ def with_contradictory_leverage(model):
     b = model.b_ub.copy()
     b[model.row_sections["leverage"][0]] = -1.0
     return dataclasses.replace(model, b_ub=b)
+
+
+def with_negated_intercepts(result):
+    """A rebalance result whose family has its intercepts negated, so that
+    no plane touches f at its anchor."""
+    sol, model, fam = result
+    return sol, model, dataclasses.replace(fam, gamma_x=-fam.gamma_x,
+                                           gamma_c=-fam.gamma_c)

@@ -8,7 +8,8 @@ import pytest
 from dro_portfolio import backtest, cli, data as data_mod, robust_lp
 from dro_portfolio.utility import SeparableUtility
 
-from conftest import TWO_REGIME_CSV, crash_market, with_contradictory_leverage
+from conftest import TWO_REGIME_CSV, backtest_config, crash_market, \
+    with_contradictory_leverage
 from reference_lp import assemble_product
 
 
@@ -45,7 +46,7 @@ def test_account_step_rejects_negative_wealth():
 def test_constant_market_matches_closed_form(log_utility):
     # constant returns, zero cost, no ambiguity: V(T)/V(0) = (1+K'r)^T
     rets = constant_market(r=0.002, T=100)
-    cfg = backtest.BacktestConfig(
+    cfg = backtest_config(
         train_window=30,
         rebalance_every=10,
         leverage=1.5,
@@ -67,7 +68,7 @@ def test_constant_market_matches_closed_form(log_utility):
 
 
 def test_deterministic_repeat_runs(two_regime_returns, log_utility):
-    cfg = backtest.BacktestConfig(
+    cfg = backtest_config(
         train_window=60,
         rebalance_every=40,
         leverage=1.5,
@@ -90,7 +91,7 @@ def test_infeasible_rebalance_names_period_row_and_section(
     real = robust_lp.assemble
     monkeypatch.setattr(robust_lp, "assemble",
                         lambda *a: with_contradictory_leverage(real(*a)))
-    cfg = backtest.BacktestConfig(
+    cfg = backtest_config(
         train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,
         turnover_cost_limit=0.02, gamma=0.25, eps_x=1e-3, eps_c=1e-5,
         utility=log_utility,
@@ -110,7 +111,7 @@ def test_infeasible_rebalance_names_period_row_and_section(
 
 
 def crash_config(c_max, log_utility):
-    return backtest.BacktestConfig(
+    return backtest_config(
         train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,
         turnover_cost_limit=c_max, gamma=0.3, eps_x=1e-3, eps_c=1e-5,
         utility=log_utility, allow_short=False,
@@ -177,7 +178,7 @@ def test_cannot_deleverage_from_the_previous_basis_is_still_infeasible(
 def test_warm_started_run_matches_cold_rebalances(two_regime_returns,
                                                   log_utility):
     # run starts each LP from the previous basis; solve each one cold
-    cfg = backtest.BacktestConfig(
+    cfg = backtest_config(
         train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,
         turnover_cost_limit=0.02, gamma=0.25, eps_x=1e-3, eps_c=1e-5,
         utility=log_utility, allow_short=False,
@@ -222,7 +223,7 @@ def test_crash_beyond_the_training_window_is_a_ruin_at_its_period(
 def test_cost_charged_once_per_block(log_utility):
     # two rebalance blocks; charge appears in the first period of each block
     rets = constant_market(r=0.001, n=1, T=40)
-    cfg = backtest.BacktestConfig(
+    cfg = backtest_config(
         train_window=20,
         rebalance_every=10,
         leverage=1.5,
@@ -361,7 +362,7 @@ def test_config_parsing(tmp_path):
 
 def test_forced_decomposition_changes_nothing(two_regime_returns, log_utility,
                                              monkeypatch):
-    cfg = backtest.BacktestConfig(
+    cfg = backtest_config(
         train_window=60,
         rebalance_every=60,
         leverage=1.5,
@@ -385,7 +386,7 @@ def test_forced_decomposition_changes_nothing(two_regime_returns, log_utility,
 def test_short_history_rejected(log_utility):
     # train window longer than history: precondition error before any solve
     rets = constant_market(T=20)
-    cfg = backtest.BacktestConfig(
+    cfg = backtest_config(
         train_window=50,
         rebalance_every=10,
         leverage=1.5,

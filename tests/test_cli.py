@@ -5,23 +5,27 @@ writes; one test goes through the installed console script to cover
 the packaging entry point.
 """
 
+import argparse
 import datetime
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dro_portfolio import backtest, cli, data, robust_lp
+from dro_portfolio import backtest, cli, data, oracle, robust_lp
 from dro_portfolio.ambiguity import from_gamma
 from dro_portfolio.partition import ErrorBudget
 from dro_portfolio.utility import SeparableUtility
 
-from conftest import crash_market, with_contradictory_leverage
+from conftest import crash_market, with_contradictory_leverage, \
+    with_negated_intercepts
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "two_regime.csv")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(argv):
@@ -103,14 +107,10 @@ def test_partition_timestamp_default(tmp_path, capsys):
     assert "timestamp" in doc
 
 
-def test_partition_flags_override_config(tmp_path):
-    cfg = tmp_path / "part.json"
-    cfg.write_text(json.dumps({
-        "partition": {"eps_x": 1e-3, "eps_c": 1e-3, "x_min": -0.2, "x_max": 0.2},
-    }))
+def test_partition_box_flags(tmp_path):
     out = tmp_path / "out"
     rc = run_cli([
-        "partition", "--config", str(cfg), "--eps-x", "1e-4",
+        "partition", "--eps-x", "1e-4", "--eps-c", "1e-3",
         "--x-min", "-0.05", "--x-max", "0.05",
         "--no-timestamp", "--out", str(out),
     ])
@@ -119,9 +119,10 @@ def test_partition_flags_override_config(tmp_path):
     assert doc["eps_x"] == 1e-4
     assert doc["eps_c"] == 1e-3
 
+    # the default box is [-0.2, 0.2]
     wide = tmp_path / "wide"
     rc = run_cli([
-        "partition", "--config", str(cfg), "--eps-x", "1e-4",
+        "partition", "--eps-x", "1e-4", "--eps-c", "1e-3",
         "--no-timestamp", "--out", str(wide),
     ])
     assert rc == 0
@@ -230,6 +231,35 @@ def test_partition_sub_resolution_budget_is_an_input_error(
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_partition_steep_crra_on_a_narrow_box(tmp_path):
+    # theta 400 is a legal crra utility; its phi overflows far from 0 but
+    # not on a box of +-1%
+    config = tmp_path / "utility.json"
+    config.write_text(json.dumps({"utility": {"kind": "crra", "theta": 400}}))
+    out = tmp_path / "out"
+    rc = run_cli(["partition", "--config", str(config), "--eps-x", "1e-3",
+                  "--eps-c", "1e-3", "--x-min", "-0.01", "--x-max", "0.01",
+                  "--no-timestamp", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "partition.json").read_text())
+    assert (doc["M_x"], doc["M_c"]) == (10, 63)
+    assert doc["sup_x"] <= 1e-3 and doc["sup_c"] <= 1e-3
+
+
+@pytest.mark.filterwarnings("error")
+def test_partition_steep_crra_on_the_default_box_names_the_budget(tmp_path,
+                                                                  capsys):
+    config = tmp_path / "utility.json"
+    config.write_text(json.dumps({"utility": {"kind": "crra", "theta": 400}}))
+    rc = run_cli(["partition", "--config", str(config), "--eps-x", "1e-3",
+                  "--eps-c", "1e-3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: x-axis budget 0.001 cannot be met")
+    assert err.rstrip().endswith("below the float resolution of phi at -0.2")
+
+
 def test_solve_budget_below_reach_is_an_input_error(tmp_path, capsys):
     config = write_config(tmp_path, budget={"eps_x": 1e-300})
     rc = run_cli(["solve", "--config", config])
@@ -304,6 +334,29 @@ def test_solve_gamma_sweep(tmp_path):
     assert (low["gamma"], high["gamma"]) == (0.0, 0.5)
     # worst case over a larger ambiguity set cannot improve the objective
     assert high["objective"] <= low["objective"] + 1e-12
+
+
+@pytest.mark.parametrize("command, sweep, message", [
+    ("solve", "gamma=0.1234567,0.1234568",
+     "sweep values 0.1234567 and 0.1234568 would both write the gamma "
+     "0.123457 reports"),
+    ("solve", "gamma=0,0.5,0.50",
+     "sweep values 0.5 and 0.50 would both write the gamma 0.5 reports"),
+    ("backtest", "cost_rate=0.0010000001,0.001",
+     "sweep values 0.0010000001 and 0.001 would both write the cost_rate "
+     "0.001 reports"),
+], ids=["solve", "solve-repeat", "backtest"])
+def test_sweep_values_with_one_report_name_are_a_usage_error(
+        tmp_path, capsys, monkeypatch, command, sweep, message):
+    config = write_config(tmp_path)
+    monkeypatch.setattr(backtest, "solve_rebalance",
+                        lambda *a, **k: pytest.fail("solved a rebalance"))
+    out = tmp_path / "out"
+    rc = run_cli([command, "--config", config, "--sweep", sweep,
+                  "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_solve_rejects_other_sweeps(tmp_path, capsys):
@@ -512,9 +565,14 @@ def test_verify_selected_suites(tmp_path):
     assert set(doc["suites"]) == {"duality", "concavity"}
 
 
-def test_verify_fault_injection_detected(tmp_path):
+def test_verify_fault_injection_detected(tmp_path, monkeypatch):
+    # the approximation suite looks rebalance up on the module, so it
+    # checks these planes
+    real = robust_lp.rebalance
+    monkeypatch.setattr(robust_lp, "rebalance",
+                        lambda *a, **k: with_negated_intercepts(real(*a, **k)))
     out = tmp_path / "out"
-    rc = run_cli(["verify", "--suites", "approximation", "--fault-inject",
+    rc = run_cli(["verify", "--suites", "approximation",
                   "--no-timestamp", "--out", str(out)])
     assert rc == 1
     doc = json.loads((out / "verify.json").read_text())
@@ -535,6 +593,39 @@ def test_verify_matches_across_worker_counts(tmp_path, monkeypatch):
     assert serial == parallel
     assert set(json.loads(serial)["suites"]) == {"inner", "concavity",
                                                  "survivability"}
+
+
+@pytest.mark.parametrize("command", ["partition", "solve", "backtest"])
+def test_seed_is_a_verify_option_only(tmp_path, capsys, command):
+    # nothing random runs in these commands
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", config, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_only_the_verify_report_holds_a_seed(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--seed", "7", "--suites", "inner",
+                    "--no-timestamp", "--out", str(out)]) == 0
+    assert json.loads((out / "verify.json").read_text())["seed"] == 7
+    assert run_cli(["partition", "--eps-x", "1e-3", "--eps-c", "1e-3",
+                    "--no-timestamp", "--out", str(out)]) == 0
+    assert run_cli(["solve", "--config", config, "--no-timestamp",
+                    "--out", str(out)]) == 0
+    for name in ("partition.json", "solve.json"):
+        assert "seed" not in json.loads((out / name).read_text())
+
+
+def test_verify_repeated_suite_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "verify_inner",
+                        lambda seed: pytest.fail("ran a suite"))
+    rc = run_cli(["verify", "--suites", "inner,duality,inner"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: suites named more than once: ['inner']\n")
 
 
 def test_verify_unknown_suite(capsys):
@@ -571,14 +662,14 @@ def test_malformed_config(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, overrides",
     [
-        ("partition", {"partition": {"eps_x": "small", "eps_c": 1e-3}}),
+        ("solve", {"budget": {"eps_x": "small"}}),
         ("solve", {"constraints": {"leverage": None}}),
         ("solve", {"data": {"periods_per_year": None}}),
         ("backtest", {"utility": {"kind": "power", "delta": [0.5]}}),
         # an integer beyond the float range
         ("solve", {"constraints": {"leverage": 10 ** 400}}),
     ],
-    ids=["partition-eps_x", "leverage", "periods_per_year", "utility-delta",
+    ids=["budget-eps_x", "leverage", "periods_per_year", "utility-delta",
          "leverage-huge-int"],
 )
 def test_config_value_of_wrong_type(tmp_path, capsys, command, overrides):
@@ -654,13 +745,13 @@ def test_config_defaults(tmp_path):
     assert cfg == backtest.BacktestConfig(
         train_window=126, rebalance_every=63, leverage=1.5, cost_rate=0.0,
         turnover_cost_limit=0.0, gamma=0.0, eps_x=1e-3, eps_c=1e-5,
-        utility=SeparableUtility("log"))
+        utility=SeparableUtility("log"), risk_free_annual=0.0,
+        periods_per_year=252, allow_short=True)
 
 
 @pytest.mark.parametrize("command", ["solve", "backtest", "partition"])
 def test_config_rejects_bad_utility(tmp_path, capsys, monkeypatch, command):
-    config = write_config(tmp_path, utility={"kind": "cubic"},
-                          partition={"eps_x": 1e-3, "eps_c": 1e-3})
+    config = write_config(tmp_path, utility={"kind": "cubic"})
     monkeypatch.setattr(backtest, "solve_rebalance",
                         lambda *a, **k: pytest.fail("solved a rebalance"))
     monkeypatch.setattr(cli, "build_family",
@@ -686,9 +777,11 @@ def test_config_rejects_bad_utility(tmp_path, capsys, monkeypatch, command):
     ({"backtest": {"risk_free_annual": 0.03}},
      "unknown key backtest.risk_free_annual"),
     ({"solver": {"method": "highs"}}, "unknown section solver"),
+    # partition takes its budgets and box from its flags only
+    ({"partition": {"eps_x": 1e-3}}, "unknown section partition"),
 ], ids=["allow_short-string", "train_window-fraction", "rebalance_every-bool",
         "beta-string", "risk_free_annual-string", "unknown-key",
-        "key-in-another-section", "unknown-section"])
+        "key-in-another-section", "unknown-section", "partition-section"])
 def test_wrong_config_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                              overrides, message):
     config = write_config(tmp_path, **overrides)
@@ -703,8 +796,7 @@ def test_wrong_config_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
 def test_readme_config_schema_is_the_reader_schema(tmp_path):
     # the README's schema block lists every key at its default, so it
     # loads to exactly the defaults the reader fills in
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         block = fh.read().split("### Config schema")[1].split("```json")[1]
     document = json.loads(block.split("```")[0])
     document["data"]["csv"] = FIXTURE
@@ -714,6 +806,22 @@ def test_readme_config_schema_is_the_reader_schema(tmp_path):
     expected = json.loads(json.dumps(cli._SCHEMA))
     expected["data"]["csv"] = FIXTURE
     assert cli._load_config(args) == expected == document
+
+
+def test_readme_cli_options_are_the_parser_options():
+    # the README's CLI section names every option of every subcommand,
+    # and no option that the parser lacks
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == {"partition", "solve", "backtest", "verify"}
+    taken = {option for command in commands.values()
+             for action in command._actions
+             for option in action.option_strings
+             if option.startswith("--") and option != "--help"}
+    assert named == taken
 
 
 @pytest.mark.parametrize("document", ["[]", '{"constraints": []}'],

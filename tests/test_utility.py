@@ -105,6 +105,8 @@ def test_parameter_validation():
         SeparableUtility("power", delta=0.0)
     with pytest.raises(ValueError):
         SeparableUtility("crra", theta=1.0)
+    with pytest.raises(ValueError, match="crra family needs theta > 1"):
+        SeparableUtility("crra", theta=float("inf"))
     with pytest.raises(ValueError):
         SeparableUtility("log", alpha=0.0)
     with pytest.raises(ValueError):
