@@ -360,6 +360,18 @@ def cmd_backtest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The --seed value: a non-negative integer, as the generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"--seed {text} is not a non-negative integer")
+    return seed
+
+
 def cmd_verify(args) -> int:
     suites = None
     if args.suites is not None:
@@ -367,9 +379,10 @@ def cmd_verify(args) -> int:
         if not suites:
             raise UsageError("empty suite selection")
     try:
-        report = oracle.run_all(seed=args.seed, suites=suites)
+        suites = oracle.suite_selection(suites)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    report = oracle.run_all(seed=args.seed, suites=suites)
     report["seed"] = args.seed
     _emit_json(report, args, "verify.json")
     return 0 if report["passed"] else FAILURE
@@ -421,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")
     common(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the suites' random draws")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="seed of the suites' random draws, a non-negative integer")
     p.add_argument("--suites", help="comma list; default all")
     p.set_defaults(func=cmd_verify)
     return parser

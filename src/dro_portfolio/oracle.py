@@ -17,7 +17,6 @@ from scipy.optimize import linprog
 from . import robust_lp
 from .ambiguity import PolyhedralAmbiguitySet, from_gamma
 from .data import ScenarioSet
-from .parallel import thread_map
 from .partition import ErrorBudget, tangency_residual
 from .robust_lp import TradingConstraintSet
 from .utility import SeparableUtility
@@ -32,9 +31,14 @@ GRID_STEP = 1e-3
 _GRID_POINT_CAP = 40_000_000
 _LP_POINT_CAP = 20_000
 # values (points x scenarios) in one grid-scan slice: 512 KiB a float
-# array, so a slice's temporaries stay in a core's L2 cache and scans on
-# concurrent threads do not compete for memory bandwidth
+# array, so a slice's temporaries stay in a core's L2 cache
 _SLICE_VALUES = 1 << 16
+# cell sides of the pruned grid scan, coarse to fine, each a quarter of
+# the last
+_LEVELS = (64, 16, 4, 1)
+# relative margin on the pruning bound: covers the rounding of J and the
+# tolerance of the per-point LP of a general polytope
+_ROUNDING = 1e-6
 
 
 def exact_q(u: SeparableUtility, scen: ScenarioSet, k, k_prev, cost_vector):
@@ -131,42 +135,6 @@ def _axis_values(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(lo_i, hi_i + 1) * step
 
 
-def _leverage_slices(axes, lev: float, step: float, size: int):
-    """The grid points that can meet the leverage bound, in row-major order.
-
-    A row is one cell of the leading axes (all but the last).  Of each row
-    only the last-axis range |k_last| <= lev - sum|k_lead| is generated,
-    with the bound's 1e-12 tolerance and widened by one grid step, so
-    every point it skips breaks the leverage bound.  Points come as
-    (n, points) arrays of at most size points; a slice may split a row.
-    """
-    last = axes[-1]
-    lead_shape = tuple(ax.size for ax in axes[:-1]) or (1,)
-    n_rows = math.prod(lead_shape)
-    for r0 in range(0, n_rows, size):
-        cell = np.unravel_index(np.arange(r0, min(r0 + size, n_rows)), lead_shape)
-        lead = [ax[i] for ax, i in zip(axes[:-1], cell)]
-        room = np.full(cell[0].size, lev + 1e-12 + step)
-        for v in lead:
-            room -= np.abs(v)
-        lo = np.searchsorted(last, -room, side="left")
-        count = np.maximum(np.searchsorted(last, room, side="right") - lo, 0)
-        end = np.cumsum(count)
-        start = end - count
-        # point p of this block lies in row r at last-axis index p - shift[r]
-        shift = start - lo
-        for p0 in range(0, int(end[-1]), size):
-            p1 = min(p0 + size, int(end[-1]))
-            a, b = np.searchsorted(end, [p0, p1 - 1], side="right")
-            rs = slice(a, b + 1)
-            row = np.repeat(np.arange(a, b + 1),
-                            np.minimum(end[rs], p1) - np.maximum(start[rs], p0))
-            col = np.arange(p0, p1) - shift[row]
-            G = np.stack([v[row] for v in lead] + [last[col]])
-            del row, col  # not held while the caller works on G
-            yield G
-
-
 def _row_min(a: np.ndarray) -> np.ndarray:
     """Row minima of a (points, m) array, one column at a time.
 
@@ -179,6 +147,96 @@ def _row_min(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lipschitz_bound(scen: ScenarioSet, con: TradingConstraintSet, k_prev,
+                     u: SeparableUtility) -> float:
+    """Slope bound of the exact objective in the infinity norm, inf if none.
+
+    Over the leverage ball every scenario return stays above -lev * maxabs
+    and every cost fraction below c_hi = sum_i cost_i (lev + |k_prev_i|),
+    and phi1' falls, so each q_j, and with it every worst case over a
+    polytope, moves by at most this much per unit of max_i |dk_i|.  No
+    finite bound exists where lev * maxabs >= 1 or c_hi >= 1.
+    """
+    X = np.abs(scen.scenarios)
+    x_lo = con.leverage * float(X.max())
+    c_hi = float(con.cost_vector @ (con.leverage + np.abs(k_prev)))
+    if x_lo >= 1.0 or c_hi >= 1.0:
+        return math.inf
+    with np.errstate(over="ignore"):
+        slope_x, slope_c = u.phi1_prime(np.array([-x_lo, -c_hi]))
+    return float(u.alpha * slope_x * X.max(axis=0).sum()
+                 + u.beta * slope_c * con.cost_vector.sum())
+
+
+def _grid_values(idx, axes, scen: ScenarioSet, amb: PolyhedralAmbiguitySet,
+                 con: TradingConstraintSet, k_prev, u: SeparableUtility):
+    """The exact objective and feasibility at the grid points of idx.
+
+    idx is an (n, points) array of axis indices.  Returns (value,
+    feasible): value is -inf outside the leverage ball and where a
+    scenario return or the cost leaves the utility domain.  The points go
+    through in slices of _SLICE_VALUES / m (m scenarios), each held as an
+    (n, points) array so the sums over assets add contiguous rows.
+    """
+    lev = con.leverage
+    down = np.abs(np.minimum(0.0, scen.x_min))[:, None]
+    up = np.maximum(0.0, scen.x_max)[:, None]
+    cost_vector = con.cost_vector[:, None]
+    Xt = scen.scenarios.T
+    chunk = max(1, _SLICE_VALUES // max(1, scen.m))
+    value = np.full(idx.shape[1], -math.inf)
+    feasible = np.zeros(idx.shape[1], dtype=bool)
+    for s in range(0, idx.shape[1], chunk):
+        G = np.stack([ax[i] for ax, i in zip(axes, idx[:, s:s + chunk])])
+        ball = np.abs(G).sum(axis=0) <= lev + 1e-12
+        exposure = (np.maximum(G, 0.0) * down).sum(axis=0)
+        exposure += (np.maximum(-G, 0.0) * up).sum(axis=0)
+        costs = (np.abs(G - k_prev[:, None]) * cost_vector).sum(axis=0)
+        feasible[s:s + chunk] = (ball & (exposure <= 1.0 + 1e-12)
+                                 & (costs <= con.turnover_cost_limit + 1e-12))
+        at = np.flatnonzero(ball & (costs < 1.0))
+        rets = G[:, at].T @ Xt
+        valid = _row_min(rets) > -1.0
+        if not np.all(valid):
+            at, rets = at[valid], rets[valid]
+        q = u.eval_f(rets, costs[at][:, None])
+        if amb.gamma is not None:
+            inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * _row_min(q)
+        else:
+            inner = np.array([_polytope_lp(amb, row).fun for row in q])
+        value[s + at] = inner
+    return value, feasible
+
+
+def _children(corners, side: int, shape):
+    """Corners of the cells of the given side that split cells of 4 * side.
+
+    Cells are index boxes of the grid; a cell at the grid's far end is
+    cut off there.  Yields (n, points) batches of at most _SLICE_VALUES
+    points.
+    """
+    n = corners.shape[0]
+    offsets = np.indices((4,) * n).reshape(n, -1) * side
+    per_batch = _SLICE_VALUES // offsets.shape[1]
+    for s in range(0, corners.shape[1], per_batch):
+        kids = (corners[:, s:s + per_batch, None] + offsets[:, None, :]).reshape(n, -1)
+        yield kids[:, np.all(kids < shape[:, None], axis=0)]
+
+
+def _outside_ball(corners, side: int, axes, lev: float):
+    """Cells whose every grid point has sum_i |k_i| above the leverage bound.
+
+    The point of a cell nearest to 0 takes, on each axis, 0 or the end
+    closer to it; its 1-norm is summed in the order the scan sums.
+    """
+    nearest = []
+    for ax, c in zip(axes, corners):
+        lo, hi = ax[c], ax[np.minimum(c + side - 1, ax.size - 1)]
+        nearest.append(np.where((lo <= 0.0) & (hi >= 0.0), 0.0,
+                                np.minimum(np.abs(lo), np.abs(hi))))
+    return np.stack(nearest).sum(axis=0) > lev + 1e-12
+
+
 def exact_small_solve(
     scen: ScenarioSet,
     amb: PolyhedralAmbiguitySet,
@@ -186,16 +244,23 @@ def exact_small_solve(
     k_prev,
     u: SeparableUtility,
 ):
-    """Maximize the exact worst-case objective by dense grid search.
+    """Maximize the exact worst-case objective by grid search.
 
     The grid spaces every weight axis GRID_STEP apart.  Only for n <= 3;
-    refuses outright when the grid would be too large.
-    The grid is never built whole: it is scanned in row-major slices of
-    _SLICE_VALUES / m points (m scenarios), sized to stay in cache, that
-    skip, row by row, the last-axis stretches outside the leverage bound,
-    and the first strict maximum wins.  The returned value is recomputed
-    at the winning point through the worst-case LP, so the scan and the
-    LP route must agree.
+    refuses outright when the grid would be too large.  The grid is never
+    built whole.  It is scanned as a Lipschitz branch and bound
+    (Piyavskii 1972, Shubert 1972) over cells of H^n grid points, H = 64,
+    16, 4, 1: each level evaluates the objective J at every cell's lower
+    corner, feasible or not, and drops the cell when that value plus the
+    slope bound (_lipschitz_bound) times (H - 1) GRID_STEP and a rounding
+    margin is strictly below the best feasible value so far, or when the
+    cell lies wholly outside the leverage ball; the others split into
+    cells of H / 4.  A dropped point lies strictly below the maximum, so
+    the smallest row-major index among the maximal points, the first
+    strict maximum of a full scan, wins.  Where no finite bound exists
+    nothing is dropped but the cells outside the ball.  The returned
+    value is recomputed at the winning point through the worst-case LP,
+    so the scan and the LP route must agree.
     """
     n = scen.n
     if n > 3:
@@ -210,7 +275,8 @@ def exact_small_solve(
             lo = max(lo, -float(con.holding_caps[i]) if con.allow_short else 0.0)
             hi = min(hi, float(con.holding_caps[i]))
         axes.append(_axis_values(lo, hi, GRID_STEP))
-    total = int(np.prod([ax.size for ax in axes], dtype=np.int64))
+    shape = np.array([ax.size for ax in axes])
+    total = int(np.prod(shape, dtype=np.int64))
     if total > _GRID_POINT_CAP:
         raise ComplexityError(f"grid of {total} points exceeds the cap")
     if amb.gamma is None and total > _LP_POINT_CAP:
@@ -218,47 +284,39 @@ def exact_small_solve(
             "general polytopes need one LP per grid point; grid too large"
         )
 
-    down = np.abs(np.minimum(0.0, scen.x_min))[:, None]
-    up = np.maximum(0.0, scen.x_max)[:, None]
-    cost_vector = con.cost_vector[:, None]
-    Xt = scen.scenarios.T
-    chunk = max(1, _SLICE_VALUES // max(1, scen.m))
-    best_val = -math.inf
-    best_k = None
+    lipschitz = _lipschitz_bound(scen, con, k_prev, u)
+    cells = [np.indices(-(-shape // _LEVELS[0])).reshape(n, -1) * _LEVELS[0]]
+    best = -math.inf  # best feasible value so far
+    for side in _LEVELS[:-1]:
+        scanned = []
+        for corners in cells:
+            corners = corners[:, ~_outside_ball(corners, side, axes, lev)]
+            value, feasible = _grid_values(corners, axes, scen, amb, con, k_prev, u)
+            best = max(best, value[feasible].max(initial=-math.inf))
+            scanned.append((corners, value))
+        reach = lipschitz * (side - 1) * GRID_STEP + _ROUNDING * (1.0 + abs(best))
+        # a corner without a value (outside the ball) bounds nothing
+        kept = [c[:, ~(np.isfinite(v) & (v < best - reach))] for c, v in scanned]
+        cells = _children(np.concatenate(kept, axis=1), side // 4, shape)
+
+    # cells of side 1 are points: the maximum, first in row-major order
     any_feasible = False
-    # each slice is held as an (n, points) array, so the sums over assets
-    # add contiguous rows
-    for G in _leverage_slices(axes, lev, GRID_STEP, chunk):
-        feas = np.abs(G).sum(axis=0) <= lev + 1e-12
-        exposure = (np.maximum(G, 0.0) * down).sum(axis=0)
-        exposure += (np.maximum(-G, 0.0) * up).sum(axis=0)
-        feas &= exposure <= 1.0 + 1e-12
-        costs = (np.abs(G - k_prev[:, None]) * cost_vector).sum(axis=0)
-        feas &= costs <= con.turnover_cost_limit + 1e-12
-        if not np.any(feas):
+    top, top_index = -math.inf, -1
+    for points in cells:
+        value, feasible = _grid_values(points, axes, scen, amb, con, k_prev, u)
+        any_feasible |= bool(np.any(feasible))
+        value[~feasible] = -math.inf
+        here = value.max(initial=-math.inf)
+        if here == -math.inf or here < top:
             continue
-        any_feasible = True
-        K = G[:, feas]
-        cc = costs[feas]
-        rets = K.T @ Xt
-        valid = (_row_min(rets) > -1.0) & (cc < 1.0)
-        if not np.any(valid):
-            continue
-        if not np.all(valid):
-            K, cc, rets = K[:, valid], cc[valid], rets[valid]
-        q = u.eval_f(rets, cc[:, None])
-        if amb.gamma is not None:
-            inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * _row_min(q)
-        else:
-            inner = np.array([_polytope_lp(amb, row).fun for row in q])
-        t = int(np.argmax(inner))
-        if inner[t] > best_val:
-            best_val = float(inner[t])
-            best_k = K[:, t].copy()
+        index = int(np.ravel_multi_index(points[:, value == here], shape).min())
+        if here > top or index < top_index:
+            top, top_index = here, index
     if not any_feasible:
         raise ValueError("no feasible grid point")
-    if best_k is None:
+    if top_index < 0:
         raise ValueError("every feasible grid point left the utility domain")
+    best_k = np.array([ax[i] for ax, i in zip(axes, np.unravel_index(top_index, shape))])
     value, _ = inner_worst_case(best_k, k_prev, scen, amb, u, con.cost_vector)
     return best_k, value
 
@@ -442,15 +500,19 @@ def verify_inner(seed: int = 0):
     return {"passed": not failures, "trials": trials, "failures": failures}
 
 
+def _approximation_draws(seed: int) -> list:
+    """The approximation suite's six (scen, amb, con) draws, n <= 2."""
+    rng = np.random.default_rng(seed)
+    return [random_small_instance(rng, n_max=2, m_max=8) for _ in range(6)]
+
+
 def verify_approximation(seed: int = 0):
     """Small-instance sandwich: exact value <= cut-model value <= exact + budget."""
-    instances, budget = 6, 1e-5
+    draws, budget = _approximation_draws(seed), 1e-5
     per_axis = ErrorBudget(budget / 2, budget / 2)
-    rng = np.random.default_rng(seed)
     u = SeparableUtility("log")
     failures = []
-    for t in range(instances):
-        scen, amb, con = random_small_instance(rng, n_max=2, m_max=8)
+    for t, (scen, amb, con) in enumerate(draws):
         sol, _, fam = robust_lp.rebalance(scen, amb, con, u, per_axis,
                                           np.zeros(scen.n))
         # tangency: every plane touches f at its anchor
@@ -465,15 +527,30 @@ def verify_approximation(seed: int = 0):
         slack = 2.0 * GRID_STEP * (1.0 + con.leverage)
         if not (exact_val - 1e-9 <= sol.objective <= exact_val + budget + slack):
             failures.append((t, "sandwich", exact_val, sol.objective))
-    return {"passed": not failures, "instances": instances, "failures": failures}
+    return {"passed": not failures, "instances": len(draws), "failures": failures}
+
+
+SUITES = ("duality", "inner", "approximation", "concavity", "survivability")
+
+
+def suite_selection(suites=None) -> list:
+    """The suites to run, all by default; unknown or repeated names raise."""
+    if suites is None:
+        return list(SUITES)
+    unknown = [s for s in suites if s not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suites: {unknown}")
+    repeated = sorted({s for s in suites if suites.count(s) > 1})
+    if repeated:
+        raise ValueError(f"suites named more than once: {repeated}")
+    return list(suites)
 
 
 def run_all(seed: int = 0, suites=None) -> dict:
-    """Run the named verification suites; default runs everything.
+    """Run the named verification suites in turn; default runs everything.
 
-    The suites run side by side (parallel.thread_map); each draws from
-    its own seeded generator, so the report does not depend on the
-    thread count.
+    Each suite draws from its own generator seeded with seed, so a
+    suite's report does not depend on which others run.
     """
     registry = {
         "duality": lambda: verify_duality(seed),
@@ -482,15 +559,7 @@ def run_all(seed: int = 0, suites=None) -> dict:
         "concavity": lambda: _concavity_suite(seed),
         "survivability": lambda: _survival_suite(seed),
     }
-    if suites is None:
-        suites = list(registry)
-    unknown = [s for s in suites if s not in registry]
-    if unknown:
-        raise ValueError(f"unknown suites: {unknown}")
-    repeated = sorted({s for s in suites if suites.count(s) > 1})
-    if repeated:
-        raise ValueError(f"suites named more than once: {repeated}")
-    results = dict(zip(suites, thread_map(lambda s: registry[s](), suites)))
+    results = {s: registry[s]() for s in suite_selection(suites)}
     passed = all(r["passed"] for r in results.values())
     return {"passed": passed, "suites": results}
 

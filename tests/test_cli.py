@@ -628,6 +628,15 @@ def test_verify_repeated_suite_is_a_usage_error(capsys, monkeypatch):
         "error: suites named more than once: ['inner']\n")
 
 
+def test_verify_negative_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "verify_inner",
+                        lambda seed: pytest.fail("ran a suite"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--seed", "-1", "--suites", "inner"])
+    assert exc.value.code == 2
+    assert "--seed -1" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite(capsys):
     rc = run_cli(["verify", "--suites", "nonsense"])
     assert rc == 2

@@ -283,47 +283,44 @@ def test_exact_small_solve_matches_the_meshgrid_scan(kelly_instance, log_utility
     edge = robust_lp.TradingConstraintSet.uniform(
         1, leverage=25.0, cost_rate=0.0, turnover_cost_limit=0.0
     )
-    instances = [*_small_grid_instances(), *_leverage_cut_instances(),
-                 (scen, amb, edge, np.zeros(1))]
-    for scen, amb, con, k_prev in instances:
-        k, value = oracle.exact_small_solve(scen, amb, con, k_prev, log_utility)
-        k_ref, value_ref = exact_small_solve_by_meshgrid(
-            scen, amb, con, k_prev, log_utility
-        )
+    grids = [*_small_grid_instances(), *_leverage_cut_instances()]
+    instances = [(*grid, log_utility) for grid in grids]
+    instances.append((scen, amb, edge, np.zeros(1), log_utility))
+    # the instances with costs and a nonzero k_prev again under power and
+    # crra, whose slope bounds have a cost leg of their own
+    for kind in (dp.SeparableUtility("power", delta=0.5),
+                 dp.SeparableUtility("crra", theta=3.0)):
+        instances += [(*grid, kind) for grid in grids
+                      if np.any(grid[2].cost_vector) and np.any(grid[3])]
+    for scen, amb, con, k_prev, u in instances:
+        k, value = oracle.exact_small_solve(scen, amb, con, k_prev, u)
+        k_ref, value_ref = exact_small_solve_by_meshgrid(scen, amb, con, k_prev, u)
         assert np.array_equal(k, k_ref) and value == value_ref
-    assert len(instances) == 61
+    assert len(instances) == 121
 
 
-@pytest.mark.parametrize("short, size", [(True, 5000), (False, 5000), (True, 25)],
-                         ids=["short", "long-only", "rows-split"])
-def test_leverage_slices_skip_only_infeasible_points(short, size):
-    # the short grid has 6161 leading cells (two blocks of 5000) and rows
-    # of 41 points, so slices of 25 points split every row
-    step = 1e-3
-    lo = -0.03 if short else 0.0
-    axes = [oracle._axis_values(lo, hi, step) for hi in (0.03, 0.05, 0.02)]
-    lev = 0.06
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    slices = list(oracle._leverage_slices(axes, lev, step, size))
-    assert all(0 < G.shape[1] <= size for G in slices)
-    got = np.concatenate(slices, axis=1)
-    order = np.ravel_multi_index(
-        [np.rint((g - ax[0]) / step).astype(int) for g, ax in zip(got, axes)],
-        [ax.size for ax in axes],
-    )
-    # row-major without repeats, and the grid's own values
-    assert np.all(np.diff(order) > 0)
-    assert np.array_equal(got, mesh[:, order])
-    # every skipped point breaks the bound; the kept range is one step wider
-    skipped = np.ones(mesh.shape[1], dtype=bool)
-    skipped[order] = False
-    assert np.all(np.abs(mesh[:, skipped]).sum(axis=0) > lev + 1e-12)
-    assert np.all(np.abs(got).sum(axis=0) <= lev + step + 2e-12)
-    assert 0 < skipped.sum() < mesh.shape[1]
+def test_pruned_scan_matches_the_unpruned_scan(monkeypatch, log_utility):
+    # an infinite slope bound drops no cell, so the scan visits every
+    # point of the leverage ball
+    draws = [draw for seed in range(4) for draw in oracle._approximation_draws(seed)]
+    rng = np.random.default_rng(5)  # the draws of acceptance criterion 5
+    draws += [oracle.random_small_instance(rng, n_max=2, m_max=10, cost_rate=0.0)
+              for _ in range(20)]
+
+    def scan():
+        return [oracle.exact_small_solve(scen, amb, con, np.zeros(scen.n),
+                                         log_utility)
+                for scen, amb, con in draws]
+
+    pruned = scan()
+    monkeypatch.setattr(oracle, "_lipschitz_bound", lambda *args: math.inf)
+    for (k, value), (k_full, value_full) in zip(pruned, scan()):
+        assert np.array_equal(k, k_full) and value == value_full
+    assert len(draws) == 44
 
 
 @pytest.mark.parametrize("m", [2, 8, 20])
-def test_exact_small_solve_peak_memory(m, log_utility):
+def test_exact_small_solve_peak_memory(m, log_utility, monkeypatch):
     # 3001 x 3001 grid: built whole with its temporaries it takes 627 MiB
     rng = np.random.default_rng(m)
     X = rng.uniform(-0.15, 0.18, size=(m, 2))
@@ -337,6 +334,10 @@ def test_exact_small_solve_peak_memory(m, log_utility):
     con = robust_lp.TradingConstraintSet.uniform(
         2, leverage=1.5, cost_rate=0.0, turnover_cost_limit=0.0
     )
+    scanned = []
+    real = oracle._grid_values
+    monkeypatch.setattr(oracle, "_grid_values", lambda idx, *args: (
+        scanned.append(idx.shape[1]) or real(idx, *args)))
     tracemalloc.start()
     try:
         oracle.exact_small_solve(scen, amb, con, np.zeros(2), log_utility)
@@ -344,6 +345,8 @@ def test_exact_small_solve_peak_memory(m, log_utility):
     finally:
         tracemalloc.stop()
     assert peak < 200 * 2**20
+    # the slope bound prunes all but a few of the 3001^2 points
+    assert sum(scanned) < 0.05 * 3001**2
 
 
 def test_exact_small_solve_grid_cap(log_utility):
