@@ -2,8 +2,10 @@
 
 Reports are JSON, plot series are CSV, and outputs are written
 atomically.  A command's reports depend only on its flags and config
-file, apart from timestamps and solve timings.  Exit codes: 0 success,
-1 solve or property failure, 2 usage or input error.
+file, apart from timestamps and solve timings.  Sweep values run one
+after another, all of them before the first report is written, so a value
+that raises leaves no reports.  Exit codes: 0 success, 1 solve or
+property failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import backtest as bt
 from . import oracle, robust_lp
 from .data import append_risk_free, compute_returns, interpolate_missing, \
     load_prices
-from .parallel import thread_map
 from .partition import ErrorBudget, build_family, certify_error, \
     removal_experiment, tangency_residual
 from .utility import SeparableUtility
@@ -271,7 +272,7 @@ def cmd_solve(args) -> int:
     window = configs[0].train_window
     if T < window:
         raise UsageError(f"need at least {window} return periods, have {T}")
-    results = thread_map(lambda c: _solve_report(c, returns), configs)
+    results = [_solve_report(c, returns) for c in configs]
     status = 0
     for res in results:
         if res["status"] != "optimal":
@@ -310,9 +311,10 @@ def cmd_backtest(args) -> int:
         except bt.BacktestError as exc:
             return exc
 
+    outcomes = [one(c) for c in configs]
     status = 0
     series = []
-    for c, outcome in zip(configs, thread_map(one, configs)):
+    for c, outcome in zip(configs, outcomes):
         tag = f"_c_{c.cost_rate:g}" if args.sweep else ""
         if isinstance(outcome, bt.BacktestError):
             _emit_json({"status": "failed", "error": str(outcome)}, args,

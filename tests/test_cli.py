@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -523,31 +524,81 @@ def test_benchmark_sharpe_uses_run_basis(tmp_path):
     assert doc["annualized_sharpe"] == pytest.approx(manual, rel=1e-12)
 
 
+def run_fresh(argv):
+    """The exit code of cli.main(argv) run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "dro_portfolio.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          stdout=subprocess.DEVNULL)
+    return proc.returncode
+
+
+def read_report(path):
+    """A report's text, or its JSON without the wall-clock timings."""
+    if path.suffix != ".json":
+        return path.read_text()
+    doc = json.loads(path.read_text())
+    return {k: v for k, v in doc.items()
+            if k not in ("solve_time_ms", "avg_solve_time")}
+
+
 @pytest.mark.parametrize(
     "command, sweep",
     [("solve", "gamma=0,0.5"), ("backtest", "cost_rate=0,0.005")],
     ids=["solve", "backtest"],
 )
-def test_sweep_matches_across_worker_counts(tmp_path, monkeypatch, command, sweep):
+def test_sweep_values_match_single_config_runs(tmp_path, command, sweep):
+    # each value's reports are those of a run of that one config in a
+    # fresh interpreter, so no state carries over from one value, or from
+    # an earlier run in this process, to the next
     config = write_config(tmp_path)
-    outs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        out = tmp_path / f"cpus_{cpus}"
-        assert run_cli([command, "--config", config, "--sweep", sweep,
-                        "--no-timestamp", "--out", str(out)]) == 0
-        outs.append(out)
-    serial, parallel = outs
-    names = sorted(os.listdir(serial))
-    assert names == sorted(os.listdir(parallel))
+    out = tmp_path / "sweep"
+    assert run_cli([command, "--config", config, "--sweep", sweep,
+                    "--no-timestamp", "--out", str(out)]) == 0
+    names = set(os.listdir(out))
     assert len([n for n in names if n.endswith(".json")]) == 2
-    for name in names:
-        a, b = (serial / name).read_text(), (parallel / name).read_text()
-        if name.endswith(".json"):
-            a, b = json.loads(a), json.loads(b)
-            for timing in ("solve_time_ms", "avg_solve_time"):  # wall clock
-                a.pop(timing, None), b.pop(timing, None)
-        assert a == b, name
+    matched = set()
+    for value in (float(v) for v in sweep.partition("=")[2].split(",")):
+        if command == "solve":
+            overrides, tag = {"ambiguity": {"gamma": value}}, f"_gamma_{value:g}"
+        else:
+            # the sweep sets c_max to 2·rate·leverage, leverage 1.5 here
+            overrides = {"constraints": {"cost_rate": value,
+                                         "c_max": value * 2.0 * 1.5}}
+            tag = f"_c_{value:g}"
+        single = tmp_path / f"single{tag}"
+        single_config = write_config(tmp_path, f"single{tag}.json", **overrides)
+        assert run_fresh([command, "--config", single_config,
+                          "--no-timestamp", "--out", str(single)]) == 0
+        for name in os.listdir(single):
+            stem, ext = os.path.splitext(name)
+            swept = f"{stem}{tag}{ext}"
+            assert swept in names
+            assert read_report(out / swept) == read_report(single / name), swept
+            matched.add(swept)
+    extra = {"return_vs_cost.csv"} if command == "backtest" else set()
+    assert names - matched == extra
+
+
+def test_commands_run_on_the_calling_thread(tmp_path, monkeypatch):
+    # a SIGINT reaches only the main thread, so a job on any other thread
+    # would run to its end after Ctrl-C
+    config = write_config(tmp_path)
+    threads = []
+    real = backtest.solve_rebalance
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(backtest, "solve_rebalance", recording)
+    for argv in (["solve"], ["backtest"],
+                 ["backtest", "--sweep", "cost_rate=0,0.005"]):
+        threads.clear()
+        assert run_cli(argv + ["--config", config, "--no-timestamp"]) == 0
+        assert threads, argv
+        assert all(t is threading.main_thread() for t in threads), argv
 
 
 # ---------------------------------------------------------------------------
@@ -581,18 +632,17 @@ def test_verify_fault_injection_detected(tmp_path, monkeypatch):
     assert any("hyperplane tangency broken" in str(row) for row in failures)
 
 
-def test_verify_matches_across_worker_counts(tmp_path, monkeypatch):
+def test_verify_report_is_byte_stable(tmp_path):
     texts = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        out = tmp_path / f"cpus_{cpus}"
+    for run in (1, 2):
+        out = tmp_path / f"run_{run}"
         assert run_cli(["verify", "--suites", "inner,concavity,survivability",
                         "--no-timestamp", "--out", str(out)]) == 0
         texts.append((out / "verify.json").read_bytes())
-    serial, parallel = texts
-    assert serial == parallel
-    assert set(json.loads(serial)["suites"]) == {"inner", "concavity",
-                                                 "survivability"}
+    first, second = texts
+    assert first == second
+    assert set(json.loads(first)["suites"]) == {"inner", "concavity",
+                                                "survivability"}
 
 
 @pytest.mark.parametrize("command", ["partition", "solve", "backtest"])
