@@ -54,18 +54,10 @@ def _atomic_write(path: str, text: str):
 def _emit_json(doc: dict, args, filename: str):
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         _atomic_write(os.path.join(args.out, filename), text)
     sys.stdout.write(text)
-
-
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _finite(value, what: str) -> float:
@@ -446,9 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # partition, solve and backtest read their input as they run, so a
+    # ValueError there is bad input; verify checks its flags before any
+    # suite runs, and a ValueError inside a suite is a fault
+    input_errors = (UsageError, OSError) if args.command == "verify" \
+        else (UsageError, ValueError, OSError)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except input_errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -115,6 +115,8 @@ class ScenarioSet:
         """Equally likely (m, n) scenarios, bounded by their own per-asset range."""
         # a window of a return matrix is a strided view; hold it in rows
         X = np.ascontiguousarray(scenarios, dtype=float)
+        if len(X) == 0:
+            raise ValueError("empty scenario window: no scenario to weight")
         return cls(scenarios=X, probabilities=np.full(len(X), 1.0 / len(X)),
                    x_min=X.min(axis=0), x_max=X.max(axis=0),
                    tickers=tickers, risk_free_index=risk_free_index)

@@ -203,6 +203,27 @@ def test_partition_weighted_log_stays_within_budget(tmp_path):
     assert all(row["error_violation"] for row in doc["removal_table"])
 
 
+@pytest.mark.parametrize("utility, counts", [
+    ({"kind": "power", "delta": 0.5}, (73, 5)),
+    ({"kind": "crra", "theta": 3}, (257, 14)),
+], ids=["power", "crra"])
+def test_partition_power_and_crra_are_minimal_within_budget(tmp_path, utility,
+                                                            counts):
+    # these families step by next_point_general's brentq roots
+    config = tmp_path / "utility.json"
+    config.write_text(json.dumps({"utility": utility}))
+    out = tmp_path / "out"
+    rc = run_cli(["partition", "--config", str(config), "--eps-x", "1e-6",
+                  "--eps-c", "1e-6", "--no-timestamp", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "partition.json").read_text())
+    assert (doc["M_x"], doc["M_c"]) == counts
+    assert doc["sup_x"] <= 1e-6 and doc["sup_c"] <= 1e-6
+    assert doc["tangency_residual"] <= 1e-12
+    assert len(doc["removal_table"]) == counts[0] + counts[1] - 4
+    assert all(row["error_violation"] for row in doc["removal_table"])
+
+
 @pytest.mark.parametrize("axis", ["x", "c"])
 def test_partition_log_budget_at_the_cut_off_is_an_input_error(capsys, axis):
     # 16 float eps, the last budget the log spacing refuses
@@ -601,6 +622,47 @@ def test_commands_run_on_the_calling_thread(tmp_path, monkeypatch):
         assert all(t is threading.main_thread() for t in threads), argv
 
 
+def test_fine_budget_sweeps_add_cuts_on_demand_from_the_previous_basis(
+        tmp_path, monkeypatch):
+    # eps_x 1e-7 gives more return-leg cuts per scenario than HiGHS holds
+    # from the start, so each of these LPs adds its cuts on demand, and the
+    # backtest hands each rebalance the previous one's basis
+    coarse = write_config(tmp_path, budget=None, utility=None)
+    fine = write_config(tmp_path, "fine.json", budget={"eps_x": 1e-7},
+                        utility=None)
+    solves = []
+    real = robust_lp.solve
+
+    def recording(model, start=None):
+        sol = real(model, start)
+        lo, hi = model.row_sections["cuts_x"]
+        whole = model.A_ub.shape[0] + model.A_eq.shape[0]
+        solves.append(((hi - lo) // model.b_eq.size, sol.rows_held, whole,
+                       start is not None))
+        return sol
+
+    monkeypatch.setattr(robust_lp, "solve", recording)
+    for run, (config, argv, lps) in enumerate((
+            (coarse, ["solve", "--sweep", "gamma=0,0.5"], 2),
+            (coarse, ["backtest", "--sweep", "cost_rate=0,0.005",
+                      "--benchmarks"], 36),
+            (fine, ["solve", "--sweep", "gamma=0,0.5"], 2),
+            (fine, ["backtest"], 18))):
+        solves.clear()
+        out = tmp_path / f"out_{run}"
+        assert run_cli(argv + ["--config", config, "--no-timestamp",
+                               "--out", str(out)]) == 0, argv
+        assert len(solves) == lps, argv
+        if config != fine:
+            continue
+        for planes, held, whole, _ in solves:
+            assert planes > robust_lp._WHOLE_MAX_L
+            assert held < whole
+    # each rebalance of the fine backtest after the first is handed the
+    # previous one's basis
+    assert [started for *_, started in solves] == [False] + [True] * 17
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -676,6 +738,17 @@ def test_verify_repeated_suite_is_a_usage_error(capsys, monkeypatch):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: suites named more than once: ['inner']\n")
+
+
+def test_verify_suite_fault_is_not_a_usage_error(monkeypatch):
+    # verify checks its flags before any suite runs, so a ValueError from a
+    # suite is a fault: it ends with a traceback and exit 1, not exit 2
+    def broken(seed):
+        raise ValueError("boom inside a suite")
+
+    monkeypatch.setattr(oracle, "verify_inner", broken)
+    with pytest.raises(ValueError, match="boom inside a suite"):
+        run_cli(["verify", "--suites", "inner"])
 
 
 def test_verify_negative_seed_is_a_usage_error(capsys, monkeypatch):
@@ -925,7 +998,7 @@ def test_price_file_with_no_usable_ticker_is_an_input_error(
             "dropped A, B\n")
 
 
-def test_console_script():
+def test_console_script(tmp_path):
     exe = os.path.join(os.path.dirname(sys.executable), "dro-portfolio")
     cmd = [exe] if os.path.exists(exe) else \
         [sys.executable, "-m", "dro_portfolio.cli"]
@@ -933,3 +1006,15 @@ def test_console_script():
     assert proc.returncode == 0
     for name in ("partition", "solve", "backtest", "verify"):
         assert name in proc.stdout
+    # one subcommand through the entry point: a minimal partition, where
+    # removing any of its 150 interior points breaks the budget, and whose
+    # stored planes touch f at their anchors
+    out = tmp_path / "out"
+    proc = subprocess.run(cmd + ["partition", "--eps-x", "1e-6", "--eps-c",
+                                 "1e-6", "--no-timestamp", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "partition.json").read_text())
+    assert len(doc["removal_table"]) == 150
+    assert all(row["error_violation"] for row in doc["removal_table"])
+    assert doc["tangency_residual"] <= 1e-12

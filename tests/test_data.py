@@ -164,6 +164,11 @@ def test_scenario_set_field_shapes_are_checked():
             data_mod.ScenarioSet(**dict(good, **{field: value}))
 
 
+def test_empty_scenario_window_is_refused():
+    with pytest.raises(ValueError, match="empty scenario window"):
+        data_mod.ScenarioSet.uniform(np.zeros((0, 2)))
+
+
 def test_return_matrix_validation():
     with pytest.raises(ValueError):
         data_mod.ReturnMatrix(

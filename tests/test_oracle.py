@@ -82,6 +82,22 @@ def test_inner_worst_case_consistency(log_utility):
         assert dp.contains(amb, p_star, tol=1e-7)
 
 
+def test_inner_worst_case_probes_a_scenario_outside_the_domain(log_utility):
+    # k = 2 takes scenario 0 to a portfolio return of -1.2, outside the log
+    # domain; the value is -inf only when the polytope can weight it
+    scen = dp.ScenarioSet.uniform([[-0.6], [0.1], [0.2]])
+    k, k_prev = np.array([2.0]), np.zeros(1)
+    pinned = dp.PolyhedralAmbiguitySet(
+        A0=[[1.0, 0.0, 0.0]], d0=[0.0], A1=np.zeros((0, 3)), d1=np.zeros(0),
+        m=3)
+    value, p = oracle.inner_worst_case(k, k_prev, scen, pinned, log_utility)
+    assert value == pytest.approx(math.log(1.2), rel=1e-12)
+    np.testing.assert_allclose(p, [0.0, 1.0, 0.0], atol=1e-12)
+    value, _ = oracle.inner_worst_case(
+        k, k_prev, scen, dp.from_gamma(scen.probabilities, 0.3), log_utility)
+    assert value == -math.inf
+
+
 def test_duality_gap_small_at_optimum_and_grows_off_it(log_utility):
     rng = np.random.default_rng(8)
     scen, _, con = oracle.random_small_instance(rng, cost_rate=0.0)
