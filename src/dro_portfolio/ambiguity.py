@@ -23,9 +23,10 @@ class PolyhedralAmbiguitySet:
     """Probability polytope {p in simplex : A0 p = d0, A1 p <= d1}.
 
     gamma and p_hat are recorded when the set was built by from_gamma;
-    they enable closed-form worst-case evaluation in the oracles.  A
-    recorded p_hat that lies in the set proves it nonempty; without such
-    a member, a phase-1 LP checks that the set meets the simplex.
+    they enable closed-form worst-case evaluation in the oracles, so a
+    gamma needs p_hat and from_gamma's rows exactly.  A recorded p_hat
+    that lies in the set proves it nonempty; without such a member, a
+    phase-1 LP checks that the set meets the simplex.
     """
 
     A0: np.ndarray
@@ -47,6 +48,11 @@ class PolyhedralAmbiguitySet:
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
+        if self.gamma is not None and (
+                self.p_hat is None or A0.shape[0]
+                or not np.array_equal(A1, -np.eye(self.m))
+                or not np.array_equal(d1, -(1.0 - self.gamma) * np.asarray(self.p_hat))):
+            raise ValueError("gamma needs p_hat and the rows from_gamma builds")
         if self.p_hat is None or not contains(self, self.p_hat):
             self._certify_nonempty()
 
@@ -101,6 +107,7 @@ def from_gamma(p_hat, gamma: float) -> PolyhedralAmbiguitySet:
         raise ValueError("p_hat must be a nonempty vector")
     if np.any(p_hat < 0) or abs(p_hat.sum() - 1.0) > 1e-12:
         raise ValueError("p_hat must lie on the probability simplex")
+    gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     m = p_hat.size
@@ -110,7 +117,7 @@ def from_gamma(p_hat, gamma: float) -> PolyhedralAmbiguitySet:
         A1=-np.eye(m),
         d1=-(1.0 - gamma) * p_hat,
         m=m,
-        gamma=float(gamma),
+        gamma=gamma,
         p_hat=p_hat.copy(),
     )
 

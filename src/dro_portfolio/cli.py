@@ -394,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory for reports")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit timestamps for byte-stable output")
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")
-    common(p)
+    common(p, config=False)
     p.add_argument("--seed", type=_seed, default=0,
                    help="seed of the suites' random draws, a non-negative integer")
     p.add_argument("--suites", help="comma list; default all")

@@ -42,16 +42,19 @@ _ROUNDING = 1e-6
 
 
 def exact_q(u: SeparableUtility, scen: ScenarioSet, k, k_prev, cost_vector):
-    """Per-scenario utility q_j at weights k; -inf flags a domain violation."""
+    """Per-scenario utility q_j at weights k; -inf flags a domain violation.
+
+    k and k_prev are (n,), giving q (m,), or (count, n), one row of q each.
+    """
     k = np.asarray(k, dtype=float)
-    x = scen.scenarios @ k
-    c = float(np.abs(k - np.asarray(k_prev, dtype=float)) @ cost_vector)
-    q = np.full(scen.m, -np.inf)
-    if not 0.0 <= c < 1.0:
-        return q
-    ok = x > -1.0
+    x = (scen.scenarios @ k.T).T
+    c = np.abs(k - np.asarray(k_prev, dtype=float)) @ cost_vector
+    q = np.full(x.shape, -np.inf)
+    ok = (x > -1.0) & ((0.0 <= c) & (c < 1.0))[..., None]
     if np.any(ok):
-        q[ok] = u.eval_f(x[ok], c)
+        # one portfolio keeps a float cost: a power of an array can round otherwise
+        cost = float(c) if k.ndim == 1 else np.broadcast_to(c[:, None], x.shape)[ok]
+        q[ok] = u.eval_f(x[ok], cost)
     return q
 
 
@@ -59,6 +62,10 @@ def contamination_worst_case(p_hat, gamma: float, q):
     """Closed-form min of p'q over {p in simplex : p >= (1-gamma) p_hat}."""
     q = np.asarray(q, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
+    reach = (p_hat > 0) | (gamma > 0)  # the scenarios the set can weight
+    if np.any(reach & (q == -np.inf)):
+        return -math.inf
+    q = np.where(reach, q, 0.0)
     return (1.0 - gamma) * float(p_hat @ q) + gamma * float(q.min())
 
 
@@ -84,7 +91,6 @@ def inner_worst_case(
         res = _polytope_lp(amb, c_probe)
         if res.x is not None and res.x[j] > 1e-12:
             return -math.inf, res.x
-        q = q.copy()
         q[bad] = 0.0  # forced-zero-mass scenarios cannot matter
     res = _polytope_lp(amb, q)
     if res.status != 0:
@@ -267,14 +273,10 @@ def exact_small_solve(
         raise ComplexityError("exact solve is limited to n <= 3 assets")
     k_prev = np.asarray(k_prev, dtype=float)
     lev = con.leverage
-    axes = []
-    for i in range(n):
-        lo = -lev if con.allow_short else 0.0
-        hi = lev
-        if con.holding_caps is not None:
-            lo = max(lo, -float(con.holding_caps[i]) if con.allow_short else 0.0)
-            hi = min(hi, float(con.holding_caps[i]))
-        axes.append(_axis_values(lo, hi, GRID_STEP))
+    # axis i spans [-h, h], or [0, h] long-only, with h = min(leverage, cap_i)
+    caps = np.full(n, lev) if con.holding_caps is None else con.holding_caps
+    axes = [_axis_values(-hi if con.allow_short else 0.0, hi, GRID_STEP)
+            for hi in np.minimum(lev, caps)]
     shape = np.array([ax.size for ax in axes])
     total = int(np.prod(shape, dtype=np.int64))
     if total > _GRID_POINT_CAP:
@@ -337,23 +339,26 @@ def _probe_report(name: str, trials: int, violations: list) -> dict:
     }
 
 
-def _sample_feasible_weights(rng, scen: ScenarioSet, con: TradingConstraintSet):
-    n = scen.n
+def _sample_feasible_weights(rng, scen: ScenarioSet, con: TradingConstraintSet, count):
+    """count portfolios, (count, n), each redrawn until its exposure is <= 0.99."""
     down = np.abs(np.minimum(0.0, scen.x_min))
     up = np.maximum(0.0, scen.x_max)
+    kept_draws, need = [], count
     for _ in range(1000):
-        direction = rng.standard_normal(n)
+        direction = rng.standard_normal((need, scen.n))
         if not con.allow_short:
             direction = np.abs(direction)
-        norm = np.abs(direction).sum()
-        if norm == 0:
-            continue
-        k = direction / norm * con.leverage * rng.uniform(0.0, 1.0)
+        norm = np.abs(direction).sum(axis=1, keepdims=True)
+        draw = np.divide(direction, norm, out=np.zeros_like(direction), where=norm > 0)
+        draw = draw * con.leverage * rng.uniform(0.0, 1.0, (need, 1))
         if con.holding_caps is not None:
-            k = np.clip(k, -con.holding_caps, con.holding_caps)
-        exposure = np.maximum(k, 0.0) @ down + np.maximum(-k, 0.0) @ up
-        if exposure <= 0.99:
-            return k
+            draw = np.clip(draw, -con.holding_caps, con.holding_caps)
+        exposure = np.maximum(draw, 0.0) @ down + np.maximum(-draw, 0.0) @ up
+        kept = (norm[:, 0] > 0) & (exposure <= 0.99)
+        kept_draws.append(draw[kept])
+        need -= int(kept.sum())
+        if not need:
+            return np.concatenate(kept_draws)
     raise RuntimeError("could not sample a feasible portfolio")
 
 
@@ -367,7 +372,8 @@ def concavity_probe(
     """Randomized check that the empirical objective is jointly concave.
 
     Samples feasible pairs (k, k_prev) twice, mixes them, and compares the
-    objective at the mixture with the mixed objective values.
+    objective at the mixture with the mixed objective values, all trials
+    at once; a triple with a value outside the utility domain is redrawn.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -376,34 +382,23 @@ def concavity_probe(
             scen.n, leverage=1.5, cost_rate=0.001, turnover_cost_limit=0.5
         )
     rng = np.random.default_rng(seed)
-    p_hat = scen.probabilities
-
-    def j_value(k, k_prev):
-        q = exact_q(u, scen, k, k_prev, con.cost_vector)
-        if not np.all(np.isfinite(q)):
-            return None
-        return float(p_hat @ q)
-
     violations = []
-    done = 0
-    while done < trials:
-        ka, kpa = (
-            _sample_feasible_weights(rng, scen, con),
-            _sample_feasible_weights(rng, scen, con),
-        )
-        kb, kpb = (
-            _sample_feasible_weights(rng, scen, con),
-            _sample_feasible_weights(rng, scen, con),
-        )
-        lam = rng.uniform(0.05, 0.95)
-        va, vb = j_value(ka, kpa), j_value(kb, kpb)
-        km, kpm = lam * ka + (1 - lam) * kb, lam * kpa + (1 - lam) * kpb
-        vm = j_value(km, kpm)
-        if va is None or vb is None or vm is None:
-            continue
-        done += 1
-        if vm < lam * va + (1 - lam) * vb - 1e-9:
-            violations.append((ka, kpa, kb, kpb, lam, vm, lam * va + (1 - lam) * vb))
+    todo = trials
+    while todo:
+        # ka, kpa, kb, kpb of every trial still to score
+        draws = np.stack([_sample_feasible_weights(rng, scen, con, todo)
+                          for _ in range(4)])
+        lam = rng.uniform(0.05, 0.95, todo)
+        mix = lam[:, None] * draws[:2] + (1 - lam[:, None]) * draws[2:]
+        q = np.stack([exact_q(u, scen, k, k_prev, con.cost_vector)
+                      for k, k_prev in (draws[:2], draws[2:], mix)])
+        ok = np.isfinite(q).all(axis=(0, 2))
+        todo -= int(ok.sum())
+        va, vb, vm = q[:, ok] @ scen.probabilities
+        lam, draws = lam[ok], draws[:, ok]
+        mixed = lam * va + (1 - lam) * vb
+        violations += [(*draws[:, t], float(lam[t]), float(vm[t]), float(mixed[t]))
+                       for t in np.flatnonzero(vm < mixed - 1e-9)]
     return _probe_report("joint_concavity", trials, violations)
 
 
@@ -415,15 +410,13 @@ def survival_probe(
 ) -> dict:
     """Account growth factors stay nonnegative for constraint-abiding weights."""
     rng = np.random.default_rng(seed)
-    violations = []
-    for _ in range(trials):
-        k = _sample_feasible_weights(rng, scen, con)
-        k_prev = _sample_feasible_weights(rng, scen, con)
-        j = int(rng.integers(scen.m))
-        cost = float(np.abs(k - k_prev) @ con.cost_vector)
-        factor = (1.0 + float(k @ scen.scenarios[j])) * (1.0 - cost)
-        if factor < 0.0:
-            violations.append((k, k_prev, j, factor))
+    k = _sample_feasible_weights(rng, scen, con, trials)
+    k_prev = _sample_feasible_weights(rng, scen, con, trials)
+    j = rng.integers(scen.m, size=trials)
+    cost = np.abs(k - k_prev) @ con.cost_vector
+    factor = (1.0 + (k * scen.scenarios[j]).sum(axis=1)) * (1.0 - cost)
+    violations = [(k[t], k_prev[t], int(j[t]), float(factor[t]))
+                  for t in np.flatnonzero(factor < 0.0)]
     return _probe_report("survivability", trials, violations)
 
 
@@ -491,8 +484,7 @@ def verify_inner(seed: int = 0):
         p_hat = rng.dirichlet(np.ones(m))
         gamma = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
         amb = from_gamma(p_hat, gamma)
-        res = _polytope_lp(amb, q)
-        lp_val = float(res.fun)
+        lp_val = float(_polytope_lp(amb, q).fun)
         closed = contamination_worst_case(p_hat, gamma, q)
         vertex = float(min(contamination_vertices(p_hat, gamma) @ q))
         if abs(lp_val - closed) > 1e-9 or abs(lp_val - vertex) > 1e-9:

@@ -4,7 +4,7 @@ import pytest
 
 import dro_portfolio as dp
 from dro_portfolio import InfeasibleAmbiguityError, PolyhedralAmbiguitySet
-from dro_portfolio import ambiguity
+from dro_portfolio import ambiguity, oracle, robust_lp
 
 
 def test_gamma_set_matrices():
@@ -120,6 +120,35 @@ def test_from_gamma_needs_no_phase_one_lp(monkeypatch):
     for gamma in (0.0, 0.3, 1.0):
         amb = dp.from_gamma(np.array([0.5, 0.3, 0.2]), gamma)
         assert dp.contains(amb, amb.p_hat)
+
+
+def test_gamma_needs_the_rows_from_gamma_builds(monkeypatch, log_utility):
+    # the oracles read a recorded gamma as the closed form
+    # (1 - gamma) p_hat'q + gamma min q, whatever the rows say
+    scen = dp.ScenarioSet.uniform([[0.10], [0.05], [-0.08], [0.02]])
+    p_hat = scen.probabilities
+    con = robust_lp.TradingConstraintSet.uniform(
+        1, leverage=1.0, cost_rate=0.0, turnover_cost_limit=0.0,
+        allow_short=False)
+    honest = dp.from_gamma(p_hat, 0.0)
+    k, value = oracle.exact_small_solve(scen, honest, con, np.zeros(1),
+                                        log_utility)
+    assert k[0] == 1.0 and value == pytest.approx(0.0201, abs=1e-4)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the gamma check ran an LP")
+
+    monkeypatch.setattr(ambiguity, "linprog", no_lp)
+    rows = dict(A0=honest.A0, d0=honest.d0, A1=honest.A1, d1=honest.d1, m=4)
+    with pytest.raises(ValueError, match="gamma"):
+        PolyhedralAmbiguitySet(**rows, gamma=1.0, p_hat=p_hat)
+    with pytest.raises(ValueError, match="gamma"):
+        PolyhedralAmbiguitySet(**rows, gamma=0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        PolyhedralAmbiguitySet(**dict(rows, A1=-2.0 * np.eye(4)), gamma=0.0,
+                               p_hat=p_hat)
+    amb = PolyhedralAmbiguitySet(**rows, gamma=0.0, p_hat=p_hat)
+    assert amb.gamma == 0.0
 
 
 def test_recorded_point_outside_the_set_still_runs_the_lp(monkeypatch):

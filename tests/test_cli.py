@@ -717,6 +717,16 @@ def test_seed_is_a_verify_option_only(tmp_path, capsys, command):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+def test_config_is_not_a_verify_option(capsys, monkeypatch):
+    # verify reads no config file, so the parser refuses one
+    monkeypatch.setattr(oracle, "run_all",
+                        lambda *args, **kwargs: pytest.fail("ran a suite"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--suites", "concavity", "--config", "/no/such.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_only_the_verify_report_holds_a_seed(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

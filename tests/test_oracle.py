@@ -16,7 +16,7 @@ from conftest import with_negated_intercepts
 def test_exact_q_matches_manual_formula(log_utility):
     rng = np.random.default_rng(1)
     scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
-    k = oracle._sample_feasible_weights(rng, scen, con)
+    k = oracle._sample_feasible_weights(rng, scen, con, 1)[0]
     k_prev = np.zeros(scen.n)
     q = oracle.exact_q(log_utility, scen, k, k_prev, con.cost_vector)
     cost = float(con.cost_vector @ np.abs(k - k_prev))
@@ -40,6 +40,24 @@ def test_exact_q_flags_domain_violations(log_utility):
     assert q[0] == -np.inf and np.isfinite(q[1])
 
 
+def test_exact_q_scores_a_batch_row_by_row(log_utility):
+    X = np.array([[-0.5, 0.1], [0.1, -0.2], [0.05, 0.02]])
+    scen = dp.ScenarioSet.uniform(X)
+    cost_vector = np.full(2, 0.01)
+    # a portfolio inside the domain, one that takes scenario 0 below -1,
+    # and one whose trade costs the whole account
+    k = np.array([[0.4, 0.3], [2.5, 0.0], [0.2, 0.2]])
+    k_prev = np.array([[0.0, 0.0], [0.0, 0.0], [60.0, 60.0]])
+    q = oracle.exact_q(log_utility, scen, k, k_prev, cost_vector)
+    assert q.shape == (3, 3)
+    for row, (a, b) in zip(q, zip(k, k_prev)):
+        np.testing.assert_allclose(
+            row, oracle.exact_q(log_utility, scen, a, b, cost_vector), rtol=1e-15)
+    assert np.isfinite(q[0]).all()
+    assert q[1, 0] == -np.inf and np.isfinite(q[1, 1:]).all()
+    assert (q[2] == -np.inf).all()
+
+
 def test_contamination_closed_form_vs_lp(log_utility):
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -53,6 +71,15 @@ def test_contamination_closed_form_vs_lp(log_utility):
         assert res.status == 0
         assert closed == pytest.approx(res.fun, abs=1e-9)
         assert dp.contains(amb, res.x, tol=1e-7)
+
+
+def test_contamination_worst_case_skips_a_scenario_without_mass():
+    # gamma 0 pins p to p_hat, which puts no mass on the -inf scenario
+    p_hat, q = [0.5, 0.5, 0.0], [0.1, 0.2, -np.inf]
+    assert oracle.contamination_worst_case(p_hat, 0.0, q) == pytest.approx(0.15)
+    # any gamma > 0 can move mass onto it
+    for gamma in (0.3, 1.0):
+        assert oracle.contamination_worst_case(p_hat, gamma, q) == -np.inf
 
 
 def test_contamination_vertices_attain_worst_case():
@@ -73,7 +100,7 @@ def test_inner_worst_case_consistency(log_utility):
     rng = np.random.default_rng(7)
     for _ in range(5):
         scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
-        k = oracle._sample_feasible_weights(rng, scen, con)
+        k = oracle._sample_feasible_weights(rng, scen, con, 1)[0]
         val, p_star = oracle.inner_worst_case(
             k, np.zeros(scen.n), scen, amb, log_utility, con.cost_vector
         )
@@ -437,6 +464,40 @@ def test_survival_probe_clean(log_utility):
     report = oracle.survival_probe(scen, con, trials=500, seed=11)
     assert report["passed"]
     assert report["violation_count"] == 0
+
+
+def _first_violation_holds_python_scalars(report):
+    # verify.json prints the repr of each violation's floats and ints
+    assert "np.float64(" not in report["violations"][0]
+    assert "np.int64(" not in report["violations"][0]
+
+
+def test_concavity_probe_reports_a_convex_objective():
+    class Convex:
+        def eval_f(self, x, c):
+            return np.square(x) + np.square(c)
+
+    report = oracle.concavity_probe(Convex(), oracle._make_probe_scenarios(3),
+                                    trials=200, seed=1)
+    assert report["trials"] == 200
+    assert report["violation_count"] > 0
+    assert not report["passed"]
+    _first_violation_holds_python_scalars(report)
+
+
+def test_survival_probe_reports_a_scenario_below_x_min():
+    # x_min of -0.05 on asset 0 does not bound the -0.9 scenario, so a long
+    # position the exposure row allows can lose more than the account
+    X = np.array([[-0.9, 0.05], [0.1, 0.02], [0.05, -0.01]])
+    scen = dp.ScenarioSet(scenarios=X, probabilities=np.full(3, 1.0 / 3.0),
+                          x_min=np.array([-0.05, -0.01]), x_max=X.max(axis=0))
+    con = robust_lp.TradingConstraintSet.uniform(
+        2, leverage=1.5, cost_rate=0.0, turnover_cost_limit=0.0)
+    report = oracle.survival_probe(scen, con, trials=500, seed=2)
+    assert report["trials"] == 500
+    assert report["violation_count"] > 0
+    assert not report["passed"]
+    _first_violation_holds_python_scalars(report)
 
 
 def test_probes_return_their_verify_report(log_utility):

@@ -1,6 +1,8 @@
 """Robust LP assembly and solution: structure audits and math oracles."""
 import dataclasses
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from dro_portfolio import oracle
 
 from conftest import small_family, with_contradictory_leverage
 from reference_lp import assemble_product
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "reference.json")
 
 
 def golden_section_max(fn, lo, hi, tol=1e-12):
@@ -149,7 +154,7 @@ def test_decomposed_agrees_with_product(log_utility):
     for i in range(50):
         cost = 0.003 if i % 2 == 0 else 0.0
         scen, amb, con = oracle.random_small_instance(rng, cost_rate=cost)
-        k_prev = oracle._sample_feasible_weights(rng, scen, con) * 0.5
+        k_prev = oracle._sample_feasible_weights(rng, scen, con, 1)[0] * 0.5
         fam = small_family(log_utility, scen, con, 1e-5, 1e-5)
         mp = assemble_product(scen, fam, amb, con, k_prev)
         md = robust_lp.assemble(scen, fam, amb, con, k_prev)
@@ -172,7 +177,7 @@ def test_on_demand_cuts_agree_with_the_whole_lp(log_utility, monkeypatch,
     for i in range(6):
         scen, amb, con = oracle.random_small_instance(
             rng, cost_rate=0.002 if i % 2 else 0.0)
-        k_prev = oracle._sample_feasible_weights(rng, scen, con) * 0.5
+        k_prev = oracle._sample_feasible_weights(rng, scen, con, 1)[0] * 0.5
         fam = small_family(log_utility, scen, con, budget_x, 1e-5)
         model = robust_lp.assemble(scen, fam, amb, con, k_prev)
         m, L = scen.m, fam.a.size
@@ -220,7 +225,7 @@ def test_turnover_epigraph_is_tight(log_utility):
     scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.004)
     while scen.n < 2:
         scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.004)
-    k_prev = oracle._sample_feasible_weights(rng, scen, con) * 0.6
+    k_prev = oracle._sample_feasible_weights(rng, scen, con, 1)[0] * 0.6
     fam = small_family(log_utility, scen, con, 1e-5, 1e-5)
     model = robust_lp.assemble(scen, fam, amb, con, k_prev)
     sol = robust_lp.solve(model)
@@ -534,3 +539,22 @@ def test_constraint_set_validation():
             robust_lp.TradingConstraintSet.uniform(
                 2, leverage=leverage, cost_rate=rate, turnover_cost_limit=0.01,
                 holding_caps=caps)
+
+
+def test_criterion_7_lp_matches_its_reference(log_utility):
+    # the seed-7 LP of acceptance criterion 7 (n = 478, m = 126), whose
+    # objective and weights the benchmark's reference file records
+    rng = np.random.default_rng(7)
+    scen = dp.ScenarioSet.uniform(rng.normal(5e-4, 0.02, size=(126, 478)))
+    con = robust_lp.TradingConstraintSet.uniform(
+        478, leverage=1.5, cost_rate=0.001, turnover_cost_limit=0.02)
+    sol, _, _ = robust_lp.rebalance(
+        scen, dp.from_gamma(scen.probabilities, 0.3), con, log_utility,
+        dp.ErrorBudget(1e-3, 1e-5), np.zeros(478))
+    with open(REFERENCE, encoding="utf-8") as fh:
+        reference = json.load(fh)["scale_lp"]
+    assert sol.status == "optimal"
+    assert abs(sol.objective - reference["objective"]) <= 1e-9 * max(
+        1.0, abs(reference["objective"]))
+    assert len(reference["weights"]) == 478
+    assert np.max(np.abs(sol.weights - reference["weights"])) <= 1e-9
