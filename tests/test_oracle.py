@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dro_portfolio as dp
-from dro_portfolio import ComplexityError, oracle, robust_lp
+from dro_portfolio import ComplexityError, highs, oracle, robust_lp
 
 from conftest import with_negated_intercepts
 
@@ -68,8 +68,8 @@ def test_contamination_closed_form_vs_lp(log_utility):
         amb = dp.from_gamma(p_hat, gamma)
         closed = oracle.contamination_worst_case(p_hat, gamma, q)
         res = oracle._polytope_lp(amb, q)
-        assert res.status == 0
-        assert closed == pytest.approx(res.fun, abs=1e-9)
+        assert res.status == highs.HighsModelStatus.kOptimal
+        assert closed == pytest.approx(res.objective, abs=1e-9)
         assert dp.contains(amb, res.x, tol=1e-7)
 
 
@@ -183,7 +183,7 @@ def exact_small_solve_by_meshgrid(scen, amb, con, k_prev, u):
         if amb.gamma is not None:
             inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * q.min(axis=1)
         else:
-            inner = np.array([oracle._polytope_lp(amb, row).fun for row in q])
+            inner = np.array([oracle._polytope_lp(amb, row).objective for row in q])
         vals[valid] = inner
         t = int(np.argmax(vals))
         if vals[t] > best_val:
@@ -485,14 +485,16 @@ def test_concavity_probe_reports_a_convex_objective():
     _first_violation_holds_python_scalars(report)
 
 
-def test_survival_probe_reports_a_scenario_below_x_min():
-    # x_min of -0.05 on asset 0 does not bound the -0.9 scenario, so a long
-    # position the exposure row allows can lose more than the account
+def test_survival_probe_reports_weights_beyond_the_exposure_bound(monkeypatch):
+    # a sampler that ignores the exposure bound: fully long asset 0, whose
+    # -0.9 scenario then loses 1.35 of the account
     X = np.array([[-0.9, 0.05], [0.1, 0.02], [0.05, -0.01]])
-    scen = dp.ScenarioSet(scenarios=X, probabilities=np.full(3, 1.0 / 3.0),
-                          x_min=np.array([-0.05, -0.01]), x_max=X.max(axis=0))
+    scen = dp.ScenarioSet.uniform(X)
     con = robust_lp.TradingConstraintSet.uniform(
         2, leverage=1.5, cost_rate=0.0, turnover_cost_limit=0.0)
+    monkeypatch.setattr(
+        oracle, "_sample_feasible_weights",
+        lambda rng, scen, con, count: np.tile([con.leverage, 0.0], (count, 1)))
     report = oracle.survival_probe(scen, con, trials=500, seed=2)
     assert report["trials"] == 500
     assert report["violation_count"] > 0
