@@ -72,16 +72,24 @@ class PolyhedralAmbiguitySet:
         """The set as ``highs.minimize`` rows and bounds over p >= 0.
 
         The rows are A1 p <= d1, then [A0; 1'] p = [d0; 1], the order in
-        which ``linprog`` stacks its inequality and equality rows.
+        which ``linprog`` stacks its inequality and equality rows.  The
+        matrix stores their nonzeros row by row, in column order.
         """
         eq = np.concatenate([self.d0, [1.0]])
+        parts = (self.A1, self.A0, np.ones((1, self.m)))
+        keep = [A != 0.0 for A in parts]
+        counts = np.concatenate([k.sum(axis=1) for k in keep])
+        matrix = sp.csr_matrix(
+            (np.concatenate([A[k] for A, k in zip(parts, keep)]),
+             np.concatenate([np.nonzero(k)[1] for k in keep]),
+             np.concatenate([[0], np.cumsum(counts)])),
+            shape=(counts.size, self.m))
         return {
             "col_lo": np.zeros(self.m),
             "col_hi": np.full(self.m, np.inf),
             "row_lo": np.concatenate([np.full(self.n_ineq, -np.inf), eq]),
             "row_hi": np.concatenate([self.d1, eq]),
-            "blocks": [sp.csr_matrix(
-                np.vstack([self.A1, self.A0, np.ones((1, self.m))]))],
+            "blocks": [matrix],
         }
 
     @property

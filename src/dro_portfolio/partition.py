@@ -279,6 +279,28 @@ def _log_spacing(eps: float) -> float:
     return math.log1p(d) + v
 
 
+def _log_step(p: float, eps: float, axis: str):
+    """The log step from p: (sigma, g), the next anchor p + sigma*g*(1 + sigma*p).
+
+    g = expm1(sigma * s) for the spacing s is the same at every anchor,
+    so a partition computes it once.
+    """
+    sigma = _sign(axis)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    _check_log_domain(p, sigma, axis)
+    try:
+        growth = math.expm1(sigma * _log_spacing(float(eps)))
+    except OverflowError:
+        growth = math.inf  # a spacing beyond exp's range steps past any box
+    return sigma, growth
+
+
+def _check_log_domain(p: float, sigma: float, axis: str):
+    if not (p > -1.0 if sigma > 0 else 0.0 <= p < 1.0):
+        raise ValueError(f"{p:g} is outside the {axis}-axis domain")
+
+
 def next_point_log(p: float, eps: float, axis: str = "x") -> float:
     """Next log anchor on an axis, for a budget in phi units.
 
@@ -286,15 +308,7 @@ def next_point_log(p: float, eps: float, axis: str = "x") -> float:
     by exp(s) on the return axis, and 1 - c shrinks by exp(-s) on the
     cost axis.
     """
-    sigma = _sign(axis)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not (p > -1.0 if sigma > 0 else 0.0 <= p < 1.0):
-        raise ValueError(f"{p:g} is outside the {axis}-axis domain")
-    try:
-        growth = math.expm1(sigma * _log_spacing(float(eps)))
-    except OverflowError:
-        growth = math.inf  # a spacing beyond exp's range steps past any box
+    sigma, growth = _log_step(p, eps, axis)
     return p + sigma * growth * (1.0 + sigma * p)
 
 
@@ -316,13 +330,21 @@ def build_partition(
     pts = [float(lo)]
     is_log = u.kind == "log"
     try:
+        if is_log and lo < hi:  # a NaN end runs no step
+            # next_point_log's step, with its spacing found once
+            sigma, growth = _log_step(lo, eps / w, axis)
         while pts[-1] < hi:
             if len(pts) >= _MAX_POINTS:
                 raise NumericalError(
                     "partition exceeds the point cap; budget too small"
                 )
             if is_log:
-                nxt = next_point_log(pts[-1], eps / w, axis)
+                p = pts[-1]
+                # the points rise from the checked lo, so only a c-axis
+                # point that rounds up to 1 can leave the domain
+                if p >= 1.0:
+                    _check_log_domain(p, sigma, axis)
+                nxt = p + sigma * growth * (1.0 + sigma * p)
             else:
                 nxt = next_point_general(u, pts[-1], eps, axis)
             if nxt <= pts[-1]:

@@ -13,12 +13,14 @@ Nemirovski, Lectures on Modern Convex Optimization, 2001), so a cut row's
 length does not depend on how many assets there are.  The maximizing K
 is the robust portfolio for the polyhedral family of scenario
 probabilities.  ``rebalance`` runs the whole step: approximation box,
-tangent family, assembly and solve.  ``solve`` hands the LP to HiGHS's
-dual simplex, which holds every return-leg cut from the start when a
-scenario has at most _WHOLE_MAX_L of them.  With more, it adds the cuts
-on demand: each scenario starts with one plane, and a round adds the
-plane each scenario violates most, until none is violated; that optimum
-is the whole LP's, held in a few rows per scenario.  Either way a solve
+tangent family, assembly and solve.  When a scenario has at most
+_WHOLE_MAX_L tangent planes, the model's ``cuts_x`` section holds all m*L
+return-leg cuts, and ``solve`` hands them to HiGHS's dual simplex from
+the start.  With more, ``cuts_x`` holds one plane per scenario, and the
+model's ``CutFamily`` generates the others from one row pattern per
+scenario: a round adds the plane each scenario violates most, until none
+is violated; that optimum is the whole LP's, held in a few rows per
+scenario, and the m*L rows are never built.  Either way a solve
 may start from the optimal basis of an earlier one, such as the previous
 rebalance of a backtest; HiGHS takes it when it has the column and row
 counts of the LP HiGHS first holds, and starts cold otherwise.  Both the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -141,11 +144,59 @@ class DecisionLayout:
 
 
 @dataclass(frozen=True)
+class CutFamily:
+    """The m*L return-leg cuts of a scenario set, held as one row pattern.
+
+    Cut (j, l) is w - (A0'nu + A1'lam)_j - s - a[l] y_j <= gamma_x[l].
+    Row j of the pattern, the CSR arrays (indptr, cols, vals), holds its
+    entries on w, nu, lam and s, in column order; -a[l] follows at y_j's
+    column y0 + j, after them all, since y is the last column group.
+    """
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    y0: int
+    a: np.ndarray
+    gamma_x: np.ndarray
+
+    @cached_property
+    def pattern(self) -> sp.csr_matrix:
+        """The pattern rows as an m x nv matrix, for the violation products."""
+        m = self.indptr.size - 1
+        return sp.csr_matrix((self.vals, self.cols, self.indptr),
+                             shape=(m, self.y0 + m))
+
+    @property
+    def first(self) -> int:
+        """The plane every scenario starts with: the lowest at y = 0."""
+        return int(np.argmin(self.gamma_x))
+
+    def rows(self, j, l) -> tuple:
+        """Cuts (j[i], l[i]) as a (widths, cols, vals) row block."""
+        width = self.indptr[j + 1] - self.indptr[j] + 1
+        ends = np.cumsum(width)
+        # an output row copies its pattern row and ends in y_j's entry, which
+        # overwrites the one position past the pattern row
+        take = (np.repeat(self.indptr[j] - (ends - width), width)
+                + np.arange(ends[-1]))
+        cols = self.cols.take(take, mode="clip")
+        vals = self.vals.take(take, mode="clip")
+        cols[ends - 1] = self.y0 + j
+        vals[ends - 1] = -self.a[l]
+        return width, cols, vals
+
+
+@dataclass(frozen=True)
 class RobustLpModel:
     """Sparse inequality and equality rows, bounds, maximization objective.
 
     ``bounds`` holds each column's (lower, upper) pair, with -inf and inf
-    for a missing bound.
+    for a missing bound.  The ``cuts_x`` section of ``row_sections`` holds
+    all m*L return-leg cuts when L <= _WHOLE_MAX_L.  Above that it holds
+    m rows, each scenario's ``cut_family.first`` plane, and
+    ``cut_family`` generates the rest; a model without a family holds
+    every row it has.  ``n_rows`` counts the rows assembled.
     """
 
     A_ub: sp.csr_matrix
@@ -157,6 +208,7 @@ class RobustLpModel:
     layout: DecisionLayout
     row_sections: dict
     provenance: dict
+    cut_family: CutFamily | None = None
 
     @property
     def n_rows(self) -> int:
@@ -244,6 +296,10 @@ def assemble(
     the cuts rather than kept as a free variable with a link row (the
     free-column substitution of Andersen & Andersen, "Presolving in linear
     programming", 1995), so ``solve`` runs HiGHS without presolve.
+
+    With L <= _WHOLE_MAX_L the ``cuts_x`` section holds all m*L return-leg
+    cuts.  With more it holds each scenario's plane lowest at y = 0, and
+    the model's ``cut_family`` generates the rest as ``solve`` needs them.
     """
     X = scen.scenarios
     m, n = X.shape
@@ -277,27 +333,25 @@ def assemble(
                          np.column_stack([-X, X, np.ones(m)]))], nv)
 
     # return-leg cuts (j, l): w - (A0'nu + A1'lam)_j - s - a_l y_j <= gamma_x[l].
-    # Row j of the pattern holds scenario j's entries, ending in y_j (a
-    # placeholder 1); the zeros of column j of [A0; A1] are dropped.  Each
-    # cut gathers its scenario's entries (take) and writes its slope on y_j.
+    # Row j of the pattern holds scenario j's entries before y_j; the zeros
+    # of column j of [A0; A1] are dropped.
     pat_cols = np.column_stack([np.full(m, layout.w), each(nu, m), each(lam, m),
-                                np.full(m, layout.s), y])
-    pat_vals = np.column_stack([np.ones(m), -amb.A0.T, -amb.A1.T, -np.ones(m),
-                                np.ones(m)])
+                                np.full(m, layout.s)])
+    pat_vals = np.column_stack([np.ones(m), -amb.A0.T, -amb.A1.T, -np.ones(m)])
     keep = pat_vals != 0.0
-    per_scenario = keep.sum(axis=1)
-    j = np.repeat(np.arange(m), L)
-    width = per_scenario[j]
-    ends = np.cumsum(width)
-    start = np.cumsum(per_scenario) - per_scenario  # scenario's first entry
-    take = np.repeat(start[j] - (ends - width), width) + np.arange(ends[-1])
-    cut_vals = pat_vals[keep][take]
-    cut_vals[ends - 1] = -np.tile(a, m)
+    family = CutFamily(indptr=np.concatenate([[0], np.cumsum(keep.sum(axis=1))]),
+                       cols=pat_cols[keep], vals=pat_vals[keep],
+                       y0=layout.y.start, a=a, gamma_x=fam.gamma_x)
+    on_demand = L > _WHOLE_MAX_L
+    if on_demand:
+        j, l = np.arange(m), np.full(m, family.first)
+    else:
+        j, l = np.repeat(np.arange(m), L), np.tile(np.arange(L), m)
 
-    blocks = [(width, pat_cols[keep][take], cut_vals)]
-    rhs = [np.tile(fam.gamma_x, m)]
-    sections = {"cuts_x": (0, m * L)}
-    row_at = m * L
+    blocks = [family.rows(j, l)]
+    rhs = [fam.gamma_x[l]]
+    sections = {"cuts_x": (0, j.size)}
+    row_at = j.size
 
     def push(cols, vals, rvec, name):
         nonlocal row_at
@@ -369,6 +423,7 @@ def assemble(
         layout=layout,
         row_sections=sections,
         provenance=provenance,
+        cut_family=family if on_demand else None,
     )
 
 
@@ -386,6 +441,21 @@ class _HighsResult(NamedTuple):
     rows: int | None = None
 
 
+def _most_violated(cuts: CutFamily, x) -> tuple:
+    """Each scenario's most violated plane at x, and its violation.
+
+    Cut (j, l) is violated by its row times x less gamma_x[l], summed as a
+    sparse row product sums it: row j of the pattern, then -a[l] y_j,
+    then less gamma_x[l].  A tie goes to the lowest l.
+    """
+    m = cuts.indptr.size - 1
+    violation = np.multiply.outer(x[cuts.y0:cuts.y0 + m], -cuts.a)
+    violation += (cuts.pattern @ x)[:, None]
+    violation -= cuts.gamma_x
+    plane = np.argmax(violation, axis=1)
+    return plane, violation[np.arange(m), plane]
+
+
 def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
     """Minimize -c'x over the model's rows and bounds by HiGHS dual simplex.
 
@@ -394,33 +464,23 @@ def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
     reads as kModelError or kSolveError.
 
     Every solve is one cutting-plane loop (Kelley, "The cutting-plane
-    method for solving convex programs", 1960) over the return-leg cuts
-    (section ``cuts_x``).  HiGHS first holds every other row and all the
-    cuts, or, above _WHOLE_MAX_L per scenario, each scenario's plane
-    lowest at y = 0.  It starts from ``start`` unless ``setBasis`` refuses
-    it: a basis of another column or row count, or one that is not a
-    basis, leaves the run cold.  After each optimum, every scenario's most
-    violated cut is added, when it is violated by more than _CUT_TOL and
-    not yet held, and dual simplex continues from the current basis.  The
-    loop ends at the first optimum that adds no row and returns its basis;
-    the iterations sum over the rounds.  The held rows relax the model, so
-    an infeasible or unbounded run means the same for the whole LP.
+    method for solving convex programs", 1960) over the return-leg cuts.
+    HiGHS first holds every assembled row: all the cuts, or, for a model
+    with a ``cut_family``, each scenario's first plane.  It starts from
+    ``start`` unless ``setBasis`` refuses it: a basis of another column or
+    row count, or one that is not a basis, leaves the run cold.  After
+    each optimum, every scenario's most violated plane of the family is
+    added, when it is violated by more than _CUT_TOL and not yet held,
+    and dual simplex continues from the current basis.  The loop ends at
+    the first optimum that adds no row and returns its basis; the
+    iterations sum over the rounds.  The held rows relax the model, so an
+    infeasible or unbounded run means the same for the whole LP.
     """
-    A_ub, b_ub = model.A_ub, model.b_ub
-    m = model.b_eq.size
-    lo, hi = model.row_sections.get("cuts_x", (0, 0))
-    cuts = None
-    if hi - lo > _WHOLE_MAX_L * m:
-        first = np.arange(lo, hi, (hi - lo) // m)  # each scenario's first cut
-        held = np.ones(model.n_rows, dtype=bool)
-        held[lo:hi] = False
-        held[first + np.argmin(b_ub[lo:hi].reshape(m, -1), axis=1)] = True
-        cuts = A_ub[lo:hi]
-        A_ub, b_ub = A_ub[held], b_ub[held]
     h = highs.load(-model.c_max_objective, model.bounds[:, 0],
                    model.bounds[:, 1],
-                   np.concatenate([np.full(b_ub.size, -np.inf), model.b_eq]),
-                   np.concatenate([b_ub, model.b_eq]), [A_ub, model.A_eq])
+                   np.concatenate([np.full(model.n_rows, -np.inf), model.b_eq]),
+                   np.concatenate([model.b_ub, model.b_eq]),
+                   [model.A_ub, model.A_eq])
     if h is None:
         return _HighsResult(highs.HighsModelStatus.kModelError, 0, None, None)
     # dual simplex, HiGHS's default for an LP; assemble makes the free-column
@@ -429,6 +489,10 @@ def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
     h.setOptionValue("presolve", "off")
     if start is not None:
         h.setBasis(start)
+    cuts = model.cut_family
+    if cuts is not None:
+        held = np.zeros((model.b_eq.size, cuts.a.size), dtype=bool)
+        held[:, cuts.first] = True
     iterations = 0
     while True:
         failed = h.run() == highs.HighsStatus.kError
@@ -439,16 +503,17 @@ def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
             return _HighsResult(status, iterations, None, None, h.getNumRow())
         x = np.array(h.getSolution().col_value)
         if cuts is not None:
-            violation = (cuts @ x - model.b_ub[lo:hi]).reshape(m, -1)
-            add = (first + np.argmax(violation, axis=1))[
-                violation.max(axis=1) > _CUT_TOL]
-            add = add[~held[add]]
-        if cuts is None or add.size == 0:
+            plane, violation = _most_violated(cuts, x)
+            j = np.flatnonzero(violation > _CUT_TOL)
+            j = j[~held[j, plane[j]]]
+        if cuts is None or j.size == 0:
             return _HighsResult(status, iterations, x, h.getBasis(),
                                 h.getNumRow())
-        held[add] = True
-        new = model.A_ub[add]
-        h.addRows(add.size, np.full(add.size, -np.inf), model.b_ub[add],
+        l = plane[j]
+        held[j, l] = True
+        new = _rows([cuts.rows(j, l)], model.layout.nv)
+        new.eliminate_zeros()  # assemble does not store a zero slope either
+        h.addRows(j.size, np.full(j.size, -np.inf), cuts.gamma_x[l],
                   new.nnz, new.indptr[:-1], new.indices, new.data)
 
 
@@ -458,10 +523,10 @@ def solve(model: RobustLpModel,
 
     ``start`` is the ``basis`` of an earlier solution; it warm-starts dual
     simplex when it has the column count and the row count that HiGHS
-    first holds, and is ignored otherwise.  A model with more than
-    _WHOLE_MAX_L return-leg cuts per scenario adds them on demand
-    (``_run_highs``), and its ``iterations`` sum all rounds.  The residual
-    below is always taken over the whole model.
+    first holds, and is ignored otherwise.  A model with a cut family adds
+    its return-leg cuts on demand (``_run_highs``), and its ``iterations``
+    sum all rounds.  The residual below is always taken over the whole
+    model, every plane of the family included.
     The status is "optimal", "infeasible" (with the row of an elastic
     infeasibility certificate), "unbounded" or "numerical".  "numerical"
     covers both a HiGHS failure and a returned point whose worst row
@@ -481,8 +546,11 @@ def solve(model: RobustLpModel,
     if res.status != highs.HighsModelStatus.kOptimal:
         return LpSolution(status="numerical", **common)
     x = res.x
-    residual = float(np.max(np.concatenate([
-        model.A_ub @ x - model.b_ub, np.abs(model.A_eq @ x - model.b_eq), [0.0]])))
+    violations = [model.A_ub @ x - model.b_ub,
+                  np.abs(model.A_eq @ x - model.b_eq), [0.0]]
+    if model.cut_family is not None:
+        violations.append(_most_violated(model.cut_family, x)[1])
+    residual = float(np.max(np.concatenate(violations)))
     if not residual <= _RESIDUAL_TOL:
         return LpSolution(status="numerical", residual=residual, **common)
     lay = model.layout

@@ -1,6 +1,7 @@
 """Polyhedral probability families and the contamination construction."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dro_portfolio as dp
 from dro_portfolio import InfeasibleAmbiguityError, PolyhedralAmbiguitySet
@@ -18,6 +19,28 @@ def test_gamma_set_matrices():
     np.testing.assert_allclose(amb.d1, -(1.0 - 0.4) * p_hat)
     assert amb.gamma == 0.4
     np.testing.assert_allclose(amb.p_hat, p_hat)
+
+
+def test_lp_rows_match_the_dense_stack():
+    # lp_rows builds its matrix from the nonzeros; it must equal the CSR of
+    # the dense stack [A1; A0; 1'] entry for entry, zeros dropped, in the
+    # same row order
+    rng = np.random.default_rng(3)
+    m = 7
+    p_hat = rng.dirichlet(np.ones(m))
+    A0 = rng.normal(size=(2, m))
+    A0[0, 3] = 0.0
+    A1 = np.vstack([-np.eye(m), rng.normal(size=(1, m))])
+    A1[-1, :2] = 0.0
+    general = PolyhedralAmbiguitySet(A0=A0, d0=A0 @ p_hat, A1=A1,
+                                     d1=A1 @ p_hat + 0.05, m=m, p_hat=p_hat)
+    for amb in (dp.from_gamma(p_hat, 0.3), general):
+        (A,) = amb.lp_rows()["blocks"]
+        dense = sp.csr_matrix(np.vstack([amb.A1, amb.A0, np.ones((1, m))]))
+        assert A.shape == dense.shape
+        for field in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(A, field),
+                                          getattr(dense, field))
 
 
 def test_membership_of_reference_and_vertices():

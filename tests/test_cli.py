@@ -635,10 +635,12 @@ def test_fine_budget_sweeps_add_cuts_on_demand_from_the_previous_basis(
 
     def recording(model, start=None):
         sol = real(model, start)
+        m, cuts = model.b_eq.size, model.cut_family
         lo, hi = model.row_sections["cuts_x"]
-        whole = model.A_ub.shape[0] + model.A_eq.shape[0]
-        solves.append(((hi - lo) // model.b_eq.size, sol.rows_held, whole,
-                       start is not None))
+        planes = (hi - lo) // m if cuts is None else cuts.a.size
+        # the rows of the whole LP, which holds every plane
+        whole = model.n_rows - (hi - lo) + m * planes + m
+        solves.append((planes, sol.rows_held, whole, start is not None))
         return sol
 
     monkeypatch.setattr(robust_lp, "solve", recording)

@@ -96,6 +96,29 @@ def test_log_recursion_is_multiplicative_in_growth():
         x = x_next
 
 
+def log_recursion(lo, hi, eps, axis):
+    """next_point_log from lo; the first point at or past hi becomes hi."""
+    pts = [lo]
+    while pts[-1] < hi:
+        pts.append(min(pt.next_point_log(pts[-1], eps, axis), hi))
+    return pts
+
+
+@pytest.mark.parametrize("eps", [5e-9, 1e-6, 1e-3])
+def test_log_partition_is_the_next_point_recursion(eps):
+    # build_partition finds the log step once per partition; its points
+    # are next_point_log's, called at every point, bit for bit
+    for u in (SeparableUtility("log"),
+              SeparableUtility("log", alpha=2.0, beta=0.5)):
+        for lo, hi, axis, w in ((-0.27, 0.31, "x", u.alpha),
+                                (0.0, 0.02, "c", u.beta),
+                                (0.013, 0.5, "c", u.beta)):
+            got = pt.build_partition(u, lo, hi, eps, axis).points
+            want = log_recursion(lo, hi, eps / w, axis)
+            assert got[-1] == hi and want[-2] < hi  # the last step clamps
+            np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
 def test_general_matches_log_closed_form(alpha, beta):
     # the log step takes its budget in phi units, eps over the axis weight

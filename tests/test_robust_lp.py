@@ -7,13 +7,14 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 import dro_portfolio as dp
 from dro_portfolio import SolutionStatusError, highs, robust_lp
 from dro_portfolio import oracle
 
 from conftest import small_family, with_contradictory_leverage
-from reference_lp import assemble_product
+from reference_lp import assemble_product, assemble_whole, return_leg_planes
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                          "reference.json")
@@ -56,6 +57,17 @@ def test_kelly_single_asset(kelly_instance, log_utility):
     assert sol.weights[0] == pytest.approx(5.0, abs=5e-3)
 
 
+def all_cut_rows(model):
+    """The model's m*L return-leg cuts as (A, b): held, or from its family."""
+    lo, hi = model.row_sections["cuts_x"]
+    cuts = model.cut_family
+    if cuts is None:
+        return model.A_ub[lo:hi], model.b_ub[lo:hi]
+    m, L = model.b_eq.size, cuts.a.size
+    j, l = np.repeat(np.arange(m), L), np.tile(np.arange(L), m)
+    return robust_lp._rows([cuts.rows(j, l)], model.layout.nv), cuts.gamma_x[l]
+
+
 def test_row_count_matches_prediction(log_utility):
     rng = np.random.default_rng(2)
     for holding in (False, True, False, True):
@@ -66,9 +78,12 @@ def test_row_count_matches_prediction(log_utility):
         model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
         m, n = scen.m, scen.n
         L, R = fam.a.size, fam.b.size
-        # cuts m*L + R, leverage 1, caps n, survival 1, turnover 2n,
-        # cost limit 1
-        expected = m * L + R + 1 + (n if holding else 0) + 1 + 2 * n + 1
+        # cuts m*L, or one per scenario on demand, + R, leverage 1, caps n,
+        # survival 1, turnover 2n, cost limit 1
+        whole = L <= robust_lp._WHOLE_MAX_L
+        assert (model.cut_family is None) == whole
+        expected = ((m * L if whole else m) + R + 1 + (n if holding else 0)
+                    + 1 + 2 * n + 1)
         assert model.n_rows == expected
 
 
@@ -83,8 +98,7 @@ def test_cut_rows_read_the_lifted_returns(log_utility):
         fam = small_family(log_utility, scen, con, 1e-4, 1e-5)
         model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
         m, n, L, lay = scen.m, scen.n, fam.a.size, model.layout
-        lo, hi = model.row_sections["cuts_x"]
-        cuts = model.A_ub[lo:hi]
+        cuts, b = all_cut_rows(model)
         assert (np.diff(cuts.indptr) == 4).all()
         j = np.repeat(np.arange(m), L)
         np.testing.assert_array_equal(
@@ -95,7 +109,13 @@ def test_cut_rows_read_the_lifted_returns(log_utility):
             cuts.data.reshape(-1, 4),
             np.column_stack([np.ones((m * L, 2)), -np.ones(m * L),
                              -np.tile(fam.a, m)]))
-        np.testing.assert_array_equal(model.b_ub[lo:hi], np.tile(fam.gamma_x, m))
+        np.testing.assert_array_equal(b, np.tile(fam.gamma_x, m))
+        # on demand, the model holds each scenario's plane lowest at y = 0
+        lo, hi = model.row_sections["cuts_x"]
+        if model.cut_family is not None:
+            first = np.arange(m) * L + np.argmin(fam.gamma_x)
+            assert (model.A_ub[lo:hi] != cuts[first]).nnz == 0
+            np.testing.assert_array_equal(model.b_ub[lo:hi], b[first])
         assert lay.nv == 3 * n + 1 + m + 1 + m
         assert model.A_eq.shape == (m, lay.nv)
         assert (np.diff(model.A_eq.indptr) == 2 * n + 1).all()
@@ -105,34 +125,34 @@ def test_cut_rows_read_the_lifted_returns(log_utility):
                                    rtol=0, atol=1e-12)
 
 
+def moment_polytope(scen):
+    """A0: a row of ones (d0 = 1); A1: p >= 0 plus one dense moment row
+    sum_j p_j x_j1 >= mean of x_j1, which the worst case presses on."""
+    X, m = scen.scenarios, scen.m
+    return dp.PolyhedralAmbiguitySet(
+        A0=np.ones((1, m)), d0=np.ones(1),
+        A1=np.vstack([-np.eye(m), -X[:, 0]]),
+        d1=np.concatenate([np.zeros(m), [-X[:, 0].mean()]]), m=m,
+    )
+
+
 def test_cut_rows_carry_a_general_polytope(log_utility):
-    # A0: a row of ones (d0 = 1); A1: p >= 0 plus one dense moment row
-    # sum_j p_j x_j1 >= mean of x_j1, which the worst case presses on
     rng = np.random.default_rng(17)
     for _ in range(4):
         scen, _, con = oracle.random_small_instance(rng, cost_rate=0.002)
-        X, m = scen.scenarios, scen.m
-        amb = dp.PolyhedralAmbiguitySet(
-            A0=np.ones((1, m)), d0=np.ones(1),
-            A1=np.vstack([-np.eye(m), -X[:, 0]]),
-            d1=np.concatenate([np.zeros(m), [-X[:, 0].mean()]]), m=m,
-        )
+        m = scen.m
+        amb = moment_polytope(scen)
         fam = small_family(log_utility, scen, con, 1e-5, 1e-5)
         k_prev = np.zeros(scen.n)
         model = robust_lp.assemble(scen, fam, amb, con, k_prev)
         lay, L = model.layout, fam.a.size
-        lo, hi = model.row_sections["cuts_x"]
-        cuts = model.A_ub[lo:hi]
+        cuts, b = all_cut_rows(model)
         A = np.vstack([amb.A0, amb.A1])
         j = np.repeat(np.arange(m), L)
         assert (np.diff(cuts.indptr) == 3 + np.count_nonzero(A, axis=0)[j]).all()
-        dense = np.zeros((m * L, lay.nv))
-        dense[:, lay.w] = 1.0
-        dense[:, lay.nu] = -amb.A0.T[j]
-        dense[:, lay.lam] = -amb.A1.T[j]
-        dense[:, lay.s] = -1.0
-        dense[np.arange(m * L), lay.y.start + j] = -np.tile(fam.a, m)
-        np.testing.assert_array_equal(cuts.toarray(), dense)
+        dense, gamma = return_leg_planes(fam, amb, lay)
+        np.testing.assert_array_equal(cuts.toarray(), dense.toarray())
+        np.testing.assert_array_equal(b, gamma)
 
         sol = robust_lp.solve(model)
         assert sol.status == "optimal"
@@ -159,7 +179,9 @@ def test_decomposed_agrees_with_product(log_utility):
         mp = assemble_product(scen, fam, amb, con, k_prev)
         md = robust_lp.assemble(scen, fam, amb, con, k_prev)
         m, L, R = scen.m, fam.a.size, fam.b.size
-        assert mp.n_rows - md.n_rows == m * L * R - (m * L + R)
+        lo, hi = md.row_sections["cuts_x"]
+        assert hi - lo == (m if md.cut_family is not None else m * L)
+        assert mp.n_rows - md.n_rows == m * L * R - (hi - lo + R)
         sp, sd = robust_lp.solve(mp), robust_lp.solve(md)
         assert sp.status == "optimal" and sd.status == "optimal"
         worst = max(worst, abs(sp.objective - sd.objective))
@@ -167,8 +189,7 @@ def test_decomposed_agrees_with_product(log_utility):
 
 
 @pytest.mark.parametrize("budget_x", [1e-4, 1e-5, 1e-6])
-def test_on_demand_cuts_agree_with_the_whole_lp(log_utility, monkeypatch,
-                                                budget_x):
+def test_on_demand_cuts_agree_with_the_whole_lp(log_utility, budget_x):
     # 14 to 196 planes per scenario: the cuts added on demand reach the
     # optimum of the LP that holds them all.  A held row meets HiGHS's
     # primal tolerance, so the whole-model residual is bounded by it; on
@@ -180,17 +201,16 @@ def test_on_demand_cuts_agree_with_the_whole_lp(log_utility, monkeypatch,
         k_prev = oracle._sample_feasible_weights(rng, scen, con, 1)[0] * 0.5
         fam = small_family(log_utility, scen, con, budget_x, 1e-5)
         model = robust_lp.assemble(scen, fam, amb, con, k_prev)
+        whole_model = assemble_whole(scen, fam, amb, con, k_prev)
         m, L = scen.m, fam.a.size
         assert robust_lp._WHOLE_MAX_L < L <= 200
         demand = robust_lp.solve(model)
-        with monkeypatch.context() as mp:
-            mp.setattr(robust_lp, "_WHOLE_MAX_L", 10**9)
-            whole = robust_lp.solve(model)
+        whole = robust_lp.solve(whole_model)
         assert demand.status == whole.status == "optimal"
         assert demand.objective == pytest.approx(whole.objective, rel=0,
                                                  abs=1e-9)
         assert demand.residual <= robust_lp._CUT_TOL
-        assert whole.rows_held == model.n_rows + m
+        assert whole.rows_held == whole_model.n_rows + m
         assert demand.rows_held < whole.rows_held
         # every optimum returns its basis, over the rows HiGHS held
         for sol in (demand, whole):
@@ -198,7 +218,7 @@ def test_on_demand_cuts_agree_with_the_whole_lp(log_utility, monkeypatch,
             assert len(sol.basis.row_status) == sol.rows_held
 
 
-def test_on_demand_lp_holds_fewer_than_all_cuts(log_utility, monkeypatch):
+def test_on_demand_lp_holds_fewer_than_all_cuts(log_utility):
     rng = np.random.default_rng(31)
     scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
     fam = small_family(log_utility, scen, con, 1e-6, 1e-5)
@@ -206,18 +226,107 @@ def test_on_demand_lp_holds_fewer_than_all_cuts(log_utility, monkeypatch):
     m, L = scen.m, fam.a.size
     sol = robust_lp.solve(model)
     assert sol.status == "optimal"
-    # every row outside cuts_x, the m equality rows, and at least one cut
-    # per scenario
-    cuts_held = sol.rows_held - (model.n_rows - m * L) - m
+    # every assembled row, which holds one cut per scenario, the m
+    # equality rows, and the cuts added on demand
+    assert model.row_sections["cuts_x"] == (0, m)
+    cuts_held = sol.rows_held - (model.n_rows - m) - m
     assert m <= cuts_held < m * L
     # the whole LP's optimal basis has another row count, so HiGHS refuses
     # it: the same run, bit for bit
-    with monkeypatch.context() as mp:
-        mp.setattr(robust_lp, "_WHOLE_MAX_L", 10**9)
-        basis = robust_lp.solve(model).basis
+    basis = robust_lp.solve(
+        assemble_whole(scen, fam, amb, con, np.zeros(scen.n))).basis
     with_start = robust_lp.solve(model, basis)
     assert with_start.iterations == sol.iterations
     np.testing.assert_array_equal(with_start.x, sol.x)
+
+
+def test_on_demand_lp_matches_linprog_on_every_plane(log_utility):
+    # the on-demand solve against linprog's dual simplex, presolve off, on
+    # the LP that holds all m*L planes.  Each returned point meets the rows
+    # HiGHS held within its primal tolerance delta = 1e-7, and the
+    # on-demand point meets every other plane within _CUT_TOL = delta.
+    # Raising every return-leg right-hand side by delta raises the optimum
+    # by exactly delta (w, in every cut with coefficient 1, rises with
+    # it), so the objectives lie within 2 delta.  At a unique optimum both
+    # runs stop at one vertex, which a delta-feasible basis moves by about
+    # delta; the weights are held to the same 2 delta.  The budgets stay
+    # at or above 1e-6, where both runs end at the vertex itself (below
+    # it HiGHS may stop anywhere within delta of it); on this draw the
+    # objectives agree within 1.2e-16 and the weights within 1.7e-12
+    tol = 2e-7
+    rng = np.random.default_rng(43)
+    for i in range(21):
+        scen, amb, con = oracle.random_small_instance(
+            rng, cost_rate=0.002 if i % 2 else 0.0)
+        if i == 0:
+            amb = moment_polytope(scen)
+        k_prev = oracle._sample_feasible_weights(rng, scen, con, 1)[0] * 0.5
+        fam = small_family(log_utility, scen, con, (1e-4, 1e-5, 1e-6)[i % 3],
+                           1e-5)
+        assert fam.a.size > robust_lp._WHOLE_MAX_L
+        sol = robust_lp.solve(robust_lp.assemble(scen, fam, amb, con, k_prev))
+        whole = assemble_whole(scen, fam, amb, con, k_prev)
+        ref = linprog(-whole.c_max_objective, A_ub=whole.A_ub, b_ub=whole.b_ub,
+                      A_eq=whole.A_eq, b_eq=whole.b_eq, bounds=whole.bounds,
+                      method="highs-ds", options={"presolve": False})
+        assert sol.status == "optimal" and ref.status == 0
+        lay = whole.layout
+        assert abs(sol.objective + ref.fun) <= tol
+        assert np.max(np.abs(sol.weights - (ref.x[lay.kp] - ref.x[lay.km]))) <= tol
+
+
+@pytest.mark.parametrize("polytope", ["contamination", "moment"])
+def test_most_violated_plane_is_the_explicit_argmax(log_utility, polytope):
+    # planted fault: the implicit family must pick, at any x, the plane and
+    # the violation that the explicit block's A x - b gives, bit for bit,
+    # ties to the lowest plane as argmax breaks them
+    rng = np.random.default_rng(47)
+    picked = set()
+    for _ in range(6):
+        scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
+        if polytope == "moment":
+            amb = moment_polytope(scen)
+        fam = small_family(log_utility, scen, con, 1e-6, 1e-5)
+        model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
+        m, L, lay = scen.m, fam.a.size, model.layout
+        A, b = return_leg_planes(fam, amb, lay)
+        for _ in range(5):
+            x = rng.normal(0.0, 0.1, lay.nv)
+            # returns inside the box, so interior planes are the most violated
+            x[lay.y] = rng.uniform(fam.x_points[0], fam.x_points[-1], m)
+            violation = (A @ x - b).reshape(m, L)
+            plane, worst = robust_lp._most_violated(model.cut_family, x)
+            np.testing.assert_array_equal(plane, np.argmax(violation, axis=1))
+            np.testing.assert_array_equal(worst, violation.max(axis=1))
+            picked.update(plane.tolist())
+    assert len(picked) > 20
+
+
+def test_residual_covers_the_planes_never_held(log_utility, kelly_instance,
+                                              monkeypatch):
+    # planted fault: a cut loop that adds no cut stops at the first round's
+    # optimum, which meets the held rows but not the planes left out: with
+    # one plane per scenario the LP is linear in K and runs to the leverage
+    # bound.  solve must see the worst of those planes and refuse the point
+    scen, amb, con = kelly_instance
+    fam = small_family(log_utility, scen, con, 1e-6, 1e-6)
+    model = robust_lp.assemble(scen, fam, amb, con, np.zeros(1))
+    points, real = [], robust_lp._run_highs
+
+    def recorded(*args):
+        res = real(*args)
+        points.append(res.x)
+        return res
+
+    monkeypatch.setattr(robust_lp, "_CUT_TOL", np.inf)
+    monkeypatch.setattr(robust_lp, "_run_highs", recorded)
+    sol = robust_lp.solve(model)
+    (x,) = points
+    assert sol.status == "numerical"
+    assert sol.rows_held == model.n_rows + scen.m  # no cut was added
+    assert np.max(model.A_ub @ x - model.b_ub) <= 1e-7
+    A, b = return_leg_planes(fam, amb, model.layout)
+    assert sol.residual == np.max(A @ x - b) > robust_lp._RESIDUAL_TOL
 
 
 def test_turnover_epigraph_is_tight(log_utility):
@@ -334,8 +443,8 @@ def test_infeasible_model_reports_certificate_row(log_utility, kelly_instance,
     monkeypatch.setattr(highs, "minimize", recorded)
     sol = robust_lp.solve(bad)
     # the elastic LP holds no cut row of either leg
-    m, L, R = scen.m, fam.a.size, fam.b.size
-    assert elastic == [model.n_rows - m * L - R]
+    assert model.row_sections["cuts_x"] == (0, scen.m)
+    assert elastic == [model.n_rows - scen.m - fam.b.size]
     assert sol.status == "infeasible"
     assert sol.weights is None
     assert sol.certificate_row == rows[0]
@@ -461,10 +570,8 @@ def warm_start_instance(log_utility, m=40, budget_x=1e-4):
 
 
 def rows_first_held(model):
-    """The rows HiGHS first holds: all of them, or one cut per scenario."""
-    m, (lo, hi) = model.b_eq.size, model.row_sections["cuts_x"]
-    on_demand = hi - lo > robust_lp._WHOLE_MAX_L * m
-    return model.n_rows + m - (hi - lo - m if on_demand else 0)
+    """The rows HiGHS first holds: every assembled row and equality row."""
+    return model.n_rows + model.b_eq.size
 
 
 def test_start_with_the_same_shape_is_taken(log_utility):
@@ -473,7 +580,7 @@ def test_start_with_the_same_shape_is_taken(log_utility):
     # count HiGHS first holds
     for budget_x in (1e-4, 1e-6):
         model = warm_start_instance(log_utility, budget_x=budget_x)
-        whole = rows_first_held(model) == model.n_rows + model.b_eq.size
+        whole = model.cut_family is None
         assert whole == (budget_x == 1e-4)
         cold = robust_lp.solve(model)
         assert cold.iterations > 0
@@ -492,7 +599,7 @@ def test_start_with_the_same_shape_is_taken(log_utility):
 def test_start_from_another_shape_is_ignored(log_utility, budget_x, other):
     model = warm_start_instance(log_utility, budget_x=budget_x)
     start = robust_lp.solve(warm_start_instance(log_utility, **other)).basis
-    whole = rows_first_held(model) == model.n_rows + model.b_eq.size
+    whole = model.cut_family is None
     assert whole == (budget_x == 1e-4)
     assert start.valid and len(start.row_status) != rows_first_held(model)
     cold = robust_lp.solve(model)
