@@ -1,14 +1,15 @@
-"""Polyhedral families of scenario probabilities.
+"""Polyhedral families of scenario probabilities, and their worst case.
 
-An ambiguity set is a polyhedron inside the probability simplex,
-described by equality rows A0 p = d0 and inequality rows A1 p <= d1.
-The contamination family used throughout the experiments keeps every
-scenario probability at least (1 - gamma) times its empirical value.
+An ambiguity set is a polyhedron inside the probability simplex, given
+by its rows alone: A0 p = d0 and A1 p <= d1.  The contamination family
+used throughout the experiments keeps every scenario probability at
+least (1 - gamma) times its empirical value, a floor on p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,11 +27,10 @@ class InfeasibleAmbiguityError(ValueError):
 class PolyhedralAmbiguitySet:
     """Probability polytope {p in simplex : A0 p = d0, A1 p <= d1}.
 
-    gamma and p_hat are recorded when the set was built by from_gamma;
-    they enable closed-form worst-case evaluation in the oracles, so a
-    gamma needs p_hat and from_gamma's rows exactly.  A recorded p_hat
-    that lies in the set proves it nonempty; without such a member, a
-    phase-1 LP checks that the set meets the simplex.
+    Without A0 rows and with A1 = -I, as every from_gamma set has, it is
+    a floor set p >= floor, with ``floor`` = max(-d1, 0) derived from the
+    rows (None for any other set).  A floor set is nonempty iff its floor
+    sums to at most 1 within 1e-9; any other set runs a phase-1 LP.
     """
 
     A0: np.ndarray
@@ -38,8 +38,7 @@ class PolyhedralAmbiguitySet:
     A1: np.ndarray
     d1: np.ndarray
     m: int
-    gamma: float | None = None
-    p_hat: np.ndarray | None = None
+    floor: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         A0 = _block("A0", self.A0, self.m)
@@ -52,21 +51,18 @@ class PolyhedralAmbiguitySet:
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
-        if self.gamma is not None and (
-                self.p_hat is None or A0.shape[0]
-                or not np.array_equal(A1, -np.eye(self.m))
-                or not np.array_equal(d1, -(1.0 - self.gamma) * np.asarray(self.p_hat))):
-            raise ValueError("gamma needs p_hat and the rows from_gamma builds")
-        if self.p_hat is None or not contains(self, self.p_hat):
-            self._certify_nonempty()
-
-    def _certify_nonempty(self):
-        # phase-1 LP: any feasible p on the simplex will do
-        res = highs.minimize(np.zeros(self.m), **self.lp_rows())
-        if res.status != highs.HighsModelStatus.kOptimal:
-            raise InfeasibleAmbiguityError(
-                "ambiguity polyhedron does not meet the simplex"
-            )
+        if A0.shape[0] or not np.array_equal(A1, -np.eye(self.m)):
+            # phase-1 LP: any feasible p on the simplex will do
+            res = highs.minimize(np.zeros(self.m), **self.lp_rows())
+            if res.status != highs.HighsModelStatus.kOptimal:
+                raise InfeasibleAmbiguityError(
+                    "ambiguity polyhedron does not meet the simplex")
+            return
+        floor = np.maximum(-d1, 0.0)
+        # fails on NaN; the floor plus the rest of the mass anywhere is a member
+        if not floor.sum() <= 1.0 + 1e-9:
+            raise InfeasibleAmbiguityError("the floor sums to more than 1")
+        object.__setattr__(self, "floor", floor)
 
     def lp_rows(self) -> dict:
         """The set as ``highs.minimize`` rows and bounds over p >= 0.
@@ -92,6 +88,39 @@ class PolyhedralAmbiguitySet:
             "blocks": [matrix],
         }
 
+    def worst_case(self, q):
+        """min p'q over the set, for q of shape (m,) or one per row (k, m).
+
+        A floor set takes the closed form floor'q + (1 - sum(floor)) min q,
+        where a -inf q_j gives -inf if floor_j > 0 or the free mass exceeds
+        1e-12, the mass the LP probe treats as none; any other set solves
+        ``lp_worst_case``'s LP once per row.
+        """
+        q = np.asarray(q, dtype=float)
+        if q.ndim not in (1, 2) or q.shape[-1] != self.m:
+            raise ValueError(f"q must have shape ({self.m},) or (k, {self.m})")
+        Q = q.reshape(-1, self.m)
+        if self.floor is None:
+            rows = self.lp_rows()
+            value = np.array([_lp_worst_case(rows, row)[0] for row in Q])
+        else:
+            free = 1.0 - self.floor.sum()
+            low = _row_min(Q)
+            with np.errstate(invalid="ignore"):  # 0 * -inf, redone below
+                value = Q @ self.floor + free * low
+            out = low == -np.inf
+            if np.any(out):
+                lost = Q[out] == -np.inf
+                kept = np.where(lost, 0.0, Q[out])
+                reach = (self.floor > 0.0) | (free > 1e-12)
+                value[out] = np.where((lost & reach).any(axis=1), -math.inf,
+                                      kept @ self.floor + free * kept.min(axis=1))
+        return float(value[0]) if q.ndim == 1 else value
+
+    def lp_worst_case(self, q):
+        """(min p'q over the set, a minimizing p) by LP, never by the floor."""
+        return _lp_worst_case(self.lp_rows(), q)
+
     @property
     def n_eq(self) -> int:
         return self.A0.shape[0]
@@ -99,6 +128,28 @@ class PolyhedralAmbiguitySet:
     @property
     def n_ineq(self) -> int:
         return self.A1.shape[0]
+
+
+def _lp_worst_case(rows: dict, q):
+    q = np.array(q, dtype=float)
+    bad = ~np.isfinite(q)
+    if np.any(bad):  # a probe LP maximizes their mass; 1e-12 counts as none
+        probe = highs.minimize(np.where(bad, -1.0, 0.0), **rows)
+        if probe.x is not None and probe.x[bad].sum() > 1e-12:
+            return -math.inf, probe.x
+        q[bad] = 0.0
+    res = highs.minimize(q, **rows)
+    if res.status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError("worst-case LP failed on a certified-nonempty set")
+    return res.objective, res.x
+
+
+def _row_min(a: np.ndarray) -> np.ndarray:
+    """Exact a.min(axis=1), one column at a time: faster on short rows."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.minimum(out, a[:, j], out=out)
+    return out
 
 
 def _block(name: str, A, m: int) -> np.ndarray:
@@ -120,35 +171,29 @@ def from_gamma(p_hat, gamma: float) -> PolyhedralAmbiguitySet:
     p_hat = np.asarray(p_hat, dtype=float)
     if p_hat.ndim != 1 or p_hat.size == 0:
         raise ValueError("p_hat must be a nonempty vector")
-    if np.any(p_hat < 0) or abs(p_hat.sum() - 1.0) > 1e-12:
+    # written to fail on NaN
+    if not (np.all(p_hat >= 0) and abs(p_hat.sum() - 1.0) <= 1e-12):
         raise ValueError("p_hat must lie on the probability simplex")
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     m = p_hat.size
-    return PolyhedralAmbiguitySet(
-        A0=np.zeros((0, m)),
-        d0=np.zeros(0),
-        A1=-np.eye(m),
-        d1=-(1.0 - gamma) * p_hat,
-        m=m,
-        gamma=gamma,
-        p_hat=p_hat.copy(),
-    )
+    return PolyhedralAmbiguitySet(A0=np.zeros((0, m)), d0=np.zeros(0),
+                                  A1=-np.eye(m), d1=-(1.0 - gamma) * p_hat, m=m)
 
 
 def contains(amb: PolyhedralAmbiguitySet, p, tol: float = 1e-9) -> bool:
-    """Membership test with componentwise tolerance."""
+    """Membership test with componentwise tolerance; NaN is never a member."""
     p = np.asarray(p, dtype=float)
     if p.shape != (amb.m,):
         raise ValueError(f"p must have length {amb.m}")
-    if np.any(p < -tol):
+    # each test is written to fail on NaN
+    if not np.all(p >= -tol):
         return False
-    if abs(p.sum() - 1.0) > tol:
+    if not abs(p.sum() - 1.0) <= tol:
         return False
-    if amb.n_eq and np.max(np.abs(amb.A0 @ p - amb.d0)) > tol:
+    if amb.n_eq and not np.max(np.abs(amb.A0 @ p - amb.d0)) <= tol:
         return False
-    if amb.n_ineq and np.any(amb.A1 @ p > amb.d1 + tol):
+    if amb.n_ineq and not np.all(amb.A1 @ p <= amb.d1 + tol):
         return False
     return True
-

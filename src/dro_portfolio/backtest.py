@@ -255,24 +255,19 @@ def metrics(
 
 def benchmark_buy_and_hold(
     data: ReturnMatrix,
-    asset: int | None = None,
     initial_cost_rate: float = 0.0,
     start_period: int = 0,
 ):
     """Hold-forever benchmark path; cost charged once on the initial buy.
 
-    With asset=None the portfolio starts equal-weighted over all assets;
-    afterwards weights drift with prices and nothing is traded.  Score it
-    with ``metrics`` on the same Sharpe basis as the run it is compared to.
+    The portfolio starts equal-weighted over all assets; afterwards
+    weights drift with prices and nothing is traded.  Score it with
+    ``metrics`` on the same Sharpe basis as the run it is compared to.
     """
     n, T = data.returns.shape
     if T <= start_period:
         raise ValueError("no periods to trade")
-    if asset is None:
-        k0 = np.full(n, 1.0 / n)
-    else:
-        k0 = np.zeros(n)
-        k0[asset] = 1.0
+    k0 = np.full(n, 1.0 / n)
     v0 = 1.0 * (1.0 - initial_cost_rate * np.abs(k0).sum())
     growth = np.cumprod(1.0 + data.returns[:, start_period:], axis=1)
     values = np.concatenate([[v0], v0 * (k0 @ growth)])

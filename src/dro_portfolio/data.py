@@ -106,12 +106,12 @@ class ScenarioSet:
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} must have shape {shape}, not {got}")
-        if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-12:
+        # each test is written to fail on NaN
+        if not (np.all(prob >= 0) and abs(prob.sum() - 1.0) <= 1e-12):
             raise ValueError("probabilities must lie on the simplex")
         if np.any(scen <= -1.0):
             raise ValueError("every scenario return must exceed -1")
-        # the LP's survival row bounds losses by x_min and x_max alone; each
-        # test is written to fail on NaN
+        # the LP's survival row bounds losses by x_min and x_max alone
         if not ((self.x_min <= scen) & (scen <= self.x_max)).all():
             raise ValueError("x_min and x_max must bound every scenario")
 

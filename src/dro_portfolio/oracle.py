@@ -15,8 +15,8 @@ import numpy as np
 # not called: perfbench/tracing.py counts the calls made through this name
 from scipy.optimize import linprog  # noqa: F401
 
-from . import highs, robust_lp
-from .ambiguity import PolyhedralAmbiguitySet, from_gamma
+from . import robust_lp
+from .ambiguity import PolyhedralAmbiguitySet, _row_min, from_gamma
 from .data import ScenarioSet
 from .partition import ErrorBudget, tangency_residual
 from .robust_lp import TradingConstraintSet
@@ -61,13 +61,7 @@ def exact_q(u: SeparableUtility, scen: ScenarioSet, k, k_prev, cost_vector):
 
 def contamination_worst_case(p_hat, gamma: float, q):
     """Closed-form min of p'q over {p in simplex : p >= (1-gamma) p_hat}."""
-    q = np.asarray(q, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
-    reach = (p_hat > 0) | (gamma > 0)  # the scenarios the set can weight
-    if np.any(reach & (q == -np.inf)):
-        return -math.inf
-    q = np.where(reach, q, 0.0)
-    return (1.0 - gamma) * float(p_hat @ q) + gamma * float(q.min())
+    return from_gamma(p_hat, gamma).worst_case(q)
 
 
 def inner_worst_case(
@@ -82,25 +76,7 @@ def inner_worst_case(
     """
     if cost_vector is None:
         cost_vector = np.zeros(scen.n)
-    q = exact_q(u, scen, k, k_prev, cost_vector)
-    bad = ~np.isfinite(q)
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
-        # can the polytope weight scenario j at all?
-        c_probe = np.zeros(scen.m)
-        c_probe[j] = -1.0
-        res = _polytope_lp(amb, c_probe)
-        if res.x is not None and res.x[j] > 1e-12:
-            return -math.inf, res.x
-        q[bad] = 0.0  # forced-zero-mass scenarios cannot matter
-    res = _polytope_lp(amb, q)
-    if res.status != highs.HighsModelStatus.kOptimal:
-        raise RuntimeError("inner worst-case LP failed on a certified-nonempty set")
-    return res.objective, res.x
-
-
-def _polytope_lp(amb: PolyhedralAmbiguitySet, objective) -> highs.Result:
-    return highs.minimize(objective, **amb.lp_rows())
+    return amb.lp_worst_case(exact_q(u, scen, k, k_prev, cost_vector))
 
 
 def contamination_vertices(p_hat, gamma: float) -> np.ndarray:
@@ -124,7 +100,7 @@ def duality_gap(
     k_prev = sol.provenance["k_prev"]
     cost_vector = sol.provenance["cost_vector"]
     q = exact_q(u, scen, k, k_prev, cost_vector)
-    inner, _ = inner_worst_case(k, k_prev, scen, amb, u, cost_vector)
+    inner, _ = amb.lp_worst_case(q)
     shifted = q + amb.A0.T @ sol.nu + amb.A1.T @ sol.lam
     dual = float(shifted.min()) - float(amb.d0 @ sol.nu) - float(amb.d1 @ sol.lam)
     return abs(inner - dual)
@@ -140,18 +116,6 @@ def _axis_values(lo: float, hi: float, step: float) -> np.ndarray:
     lo_i = math.ceil(round(lo / step, 9))
     hi_i = math.floor(round(hi / step, 9))
     return np.arange(lo_i, hi_i + 1) * step
-
-
-def _row_min(a: np.ndarray) -> np.ndarray:
-    """Row minima of a (points, m) array, one column at a time.
-
-    Exact like a.min(axis=1), and faster for the short scenario axes of
-    the grid scan.
-    """
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.minimum(out, a[:, j], out=out)
-    return out
 
 
 def _lipschitz_bound(scen: ScenarioSet, con: TradingConstraintSet, k_prev,
@@ -206,12 +170,7 @@ def _grid_values(idx, axes, scen: ScenarioSet, amb: PolyhedralAmbiguitySet,
         valid = _row_min(rets) > -1.0
         if not np.all(valid):
             at, rets = at[valid], rets[valid]
-        q = u.eval_f(rets, costs[at][:, None])
-        if amb.gamma is not None:
-            inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * _row_min(q)
-        else:
-            inner = np.array([_polytope_lp(amb, row).objective for row in q])
-        value[s + at] = inner
+        value[s + at] = amb.worst_case(u.eval_f(rets, costs[at][:, None]))
     return value, feasible
 
 
@@ -282,10 +241,9 @@ def exact_small_solve(
     total = int(np.prod(shape, dtype=np.int64))
     if total > _GRID_POINT_CAP:
         raise ComplexityError(f"grid of {total} points exceeds the cap")
-    if amb.gamma is None and total > _LP_POINT_CAP:
-        raise ComplexityError(
-            "general polytopes need one LP per grid point; grid too large"
-        )
+    if amb.floor is None and total > _LP_POINT_CAP:
+        raise ComplexityError("a set without a floor needs one LP per grid point; "
+                              "grid too large")
 
     lipschitz = _lipschitz_bound(scen, con, k_prev, u)
     cells = [np.indices(-(-shape // _LEVELS[0])).reshape(n, -1) * _LEVELS[0]]
@@ -485,8 +443,8 @@ def verify_inner(seed: int = 0):
         p_hat = rng.dirichlet(np.ones(m))
         gamma = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
         amb = from_gamma(p_hat, gamma)
-        lp_val = _polytope_lp(amb, q).objective
-        closed = contamination_worst_case(p_hat, gamma, q)
+        lp_val, _ = amb.lp_worst_case(q)
+        closed = amb.worst_case(q)
         vertex = float(min(contamination_vertices(p_hat, gamma) @ q))
         if abs(lp_val - closed) > 1e-9 or abs(lp_val - vertex) > 1e-9:
             failures.append((t, lp_val, closed, vertex))

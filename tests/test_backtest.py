@@ -323,13 +323,16 @@ def test_benchmark_buy_and_hold(two_regime_returns):
     assert rep.cumulative_return == pytest.approx(manual[-1] - 1.0, rel=1e-12)
 
 
-def test_benchmark_single_asset_with_entry_cost(two_regime_returns):
+def test_benchmark_with_entry_cost(two_regime_returns):
     bench = backtest.benchmark_buy_and_hold(
-        two_regime_returns, asset=0, initial_cost_rate=0.01, start_period=60
+        two_regime_returns, initial_cost_rate=0.01, start_period=60
     )
-    R = two_regime_returns.returns
-    manual = 0.99 * (1.0 + R[0, 60:]).cumprod()
-    np.testing.assert_allclose(bench.values[1:], manual, rtol=1e-12)
+    free = backtest.benchmark_buy_and_hold(two_regime_returns, start_period=60)
+    # the entry cost is charged once, on the equal-weight book k0
+    n = two_regime_returns.returns.shape[0]
+    scale = 1.0 - 0.01 * np.abs(np.full(n, 1.0 / n)).sum()
+    np.testing.assert_allclose(bench.values, scale * free.values, rtol=1e-12)
+    assert bench.costs_paid == pytest.approx((0.01,), rel=1e-12)
 
 
 def test_config_parsing(tmp_path):

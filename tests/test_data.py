@@ -178,6 +178,16 @@ def test_scenario_bounds_must_hold_every_scenario():
             data_mod.ScenarioSet(**dict(good, **{field: value}))
 
 
+def test_scenario_probabilities_must_lie_on_the_simplex():
+    X = np.array([[0.01, -0.02], [0.03, 0.0], [-0.01, 0.02]])
+    good = dict(scenarios=X, probabilities=np.full(3, 1.0 / 3),
+                x_min=X.min(axis=0), x_max=X.max(axis=0))
+    for prob in ([0.5, 0.3, 0.3], [1.2, -0.1, -0.1], [np.nan, 0.5, 0.5],
+                 [np.nan] * 3):
+        with pytest.raises(ValueError, match="simplex"):
+            data_mod.ScenarioSet(**dict(good, probabilities=np.array(prob)))
+
+
 def test_empty_scenario_window_is_refused():
     with pytest.raises(ValueError, match="empty scenario window"):
         data_mod.ScenarioSet.uniform(np.zeros((0, 2)))

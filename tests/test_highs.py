@@ -45,7 +45,7 @@ def random_polytope(rng, m):
     A1 = rng.normal(size=(int(rng.integers(0, 4)), m))
     return PolyhedralAmbiguitySet(
         A0=A0, d0=A0 @ p_hat, A1=A1,
-        d1=A1 @ p_hat + rng.uniform(0.0, 0.1, A1.shape[0]), m=m, p_hat=p_hat)
+        d1=A1 @ p_hat + rng.uniform(0.0, 0.1, A1.shape[0]), m=m)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dro_portfolio as dp
-from dro_portfolio import ComplexityError, highs, oracle, robust_lp
+from dro_portfolio import ComplexityError, oracle, robust_lp
 
 from conftest import with_negated_intercepts
 
@@ -67,10 +67,9 @@ def test_contamination_closed_form_vs_lp(log_utility):
         q = rng.normal(size=m)
         amb = dp.from_gamma(p_hat, gamma)
         closed = oracle.contamination_worst_case(p_hat, gamma, q)
-        res = oracle._polytope_lp(amb, q)
-        assert res.status == highs.HighsModelStatus.kOptimal
-        assert closed == pytest.approx(res.objective, abs=1e-9)
-        assert dp.contains(amb, res.x, tol=1e-7)
+        value, p = amb.lp_worst_case(q)
+        assert closed == pytest.approx(value, abs=1e-9)
+        assert dp.contains(amb, p, tol=1e-7)
 
 
 def test_contamination_worst_case_skips_a_scenario_without_mass():
@@ -123,6 +122,24 @@ def test_inner_worst_case_probes_a_scenario_outside_the_domain(log_utility):
     value, _ = oracle.inner_worst_case(
         k, k_prev, scen, dp.from_gamma(scen.probabilities, 0.3), log_utility)
     assert value == -math.inf
+
+
+def test_worst_case_probes_every_scenario_outside_the_domain(log_utility):
+    # k = 1.2 takes scenarios 0 and 1 to -0.08, outside the log domain;
+    # gamma 0 pins p to p_hat, which weights scenario 1 but not scenario 0
+    X = np.array([[-0.9], [-0.9], [0.1]])
+    p_hat = np.array([0.0, 0.5, 0.5])
+    scen = dp.ScenarioSet(scenarios=X, probabilities=p_hat,
+                          x_min=X.min(axis=0), x_max=X.max(axis=0))
+    amb = dp.from_gamma(p_hat, 0.0)
+    k, k_prev = np.array([1.2]), np.zeros(1)
+    q = oracle.exact_q(log_utility, scen, k, k_prev, np.zeros(1))
+    assert q[0] == q[1] == -np.inf
+    value, p = oracle.inner_worst_case(k, k_prev, scen, amb, log_utility)
+    assert value == -math.inf
+    assert p[1] == pytest.approx(0.5, abs=1e-9)
+    assert amb.worst_case(q) == -math.inf
+    assert oracle.contamination_worst_case(p_hat, 0.0, q) == -math.inf
 
 
 def test_duality_gap_small_at_optimum_and_grows_off_it(log_utility):
@@ -180,10 +197,10 @@ def exact_small_solve_by_meshgrid(scen, amb, con, k_prev, u):
         vals = np.full(Kc.shape[0], -np.inf)
         rv = rets[valid]
         q = u.alpha * u.phi1(rv) + u.beta * u.phi2(cc[valid])[:, None]
-        if amb.gamma is not None:
-            inner = (1.0 - amb.gamma) * (q @ amb.p_hat) + amb.gamma * q.min(axis=1)
+        if amb.floor is not None:
+            inner = q @ amb.floor + (1.0 - amb.floor.sum()) * q.min(axis=1)
         else:
-            inner = np.array([oracle._polytope_lp(amb, row).objective for row in q])
+            inner = np.array([amb.lp_worst_case(row)[0] for row in q])
         vals[valid] = inner
         t = int(np.argmax(vals))
         if vals[t] > best_val:
@@ -426,12 +443,14 @@ def test_exact_small_solve_per_point_lp_matches_closed_form(log_utility):
     )
     gamma = 0.2
     closed = dp.from_gamma(scen.probabilities, gamma)
-    # the same polytope without gamma or p_hat: one LP per grid point
+    # the same polytope with the redundant row 1'p <= 1, so not a floor
+    # set: one LP per grid point
     general = dp.PolyhedralAmbiguitySet(
         A0=np.zeros((0, m)), d0=np.zeros(0),
-        A1=-np.eye(m), d1=-(1.0 - gamma) * scen.probabilities, m=m,
+        A1=np.vstack([-np.eye(m), np.ones(m)]),
+        d1=np.append(-(1.0 - gamma) * scen.probabilities, 1.0), m=m,
     )
-    assert general.gamma is None
+    assert general.floor is None
     con = robust_lp.TradingConstraintSet.uniform(
         1, leverage=1.0, cost_rate=0.0, turnover_cost_limit=0.0,
         allow_short=False,
