@@ -66,7 +66,6 @@ from .oracle import (
     concavity_probe,
     duality_gap,
     exact_small_solve,
-    inner_worst_case,
     survival_probe,
 )
 from .utility import SeparableUtility, UtilityDomainError

@@ -94,7 +94,8 @@ class PolyhedralAmbiguitySet:
         A floor set takes the closed form floor'q + (1 - sum(floor)) min q,
         where a -inf q_j gives -inf if floor_j > 0 or the free mass exceeds
         1e-12, the mass the LP probe treats as none; any other set solves
-        ``lp_worst_case``'s LP once per row.
+        ``lp_worst_case``'s LP once per row.  A NaN or +inf in q is a
+        ValueError on either route.
         """
         q = np.asarray(q, dtype=float)
         if q.ndim not in (1, 2) or q.shape[-1] != self.m:
@@ -110,15 +111,22 @@ class PolyhedralAmbiguitySet:
                 value = Q @ self.floor + free * low
             out = low == -np.inf
             if np.any(out):
+                # NaN and +inf elsewhere make the value NaN or +inf, checked below
+                _refuse_nan_and_inf(Q[out])
                 lost = Q[out] == -np.inf
                 kept = np.where(lost, 0.0, Q[out])
                 reach = (self.floor > 0.0) | (free > 1e-12)
                 value[out] = np.where((lost & reach).any(axis=1), -math.inf,
                                       kept @ self.floor + free * kept.min(axis=1))
+            _refuse_nan_and_inf(value)
         return float(value[0]) if q.ndim == 1 else value
 
     def lp_worst_case(self, q):
-        """(min p'q over the set, a minimizing p) by LP, never by the floor."""
+        """(min p'q over the set, a minimizing p) by LP, never by the floor.
+
+        A -inf q_j gives -inf when the set can put mass on scenario j; a
+        NaN or +inf in q is a ValueError.
+        """
         return _lp_worst_case(self.lp_rows(), q)
 
     @property
@@ -132,7 +140,8 @@ class PolyhedralAmbiguitySet:
 
 def _lp_worst_case(rows: dict, q):
     q = np.array(q, dtype=float)
-    bad = ~np.isfinite(q)
+    _refuse_nan_and_inf(q)
+    bad = q == -math.inf
     if np.any(bad):  # a probe LP maximizes their mass; 1e-12 counts as none
         probe = highs.minimize(np.where(bad, -1.0, 0.0), **rows)
         if probe.x is not None and probe.x[bad].sum() > 1e-12:
@@ -142,6 +151,12 @@ def _lp_worst_case(rows: dict, q):
     if res.status != highs.HighsModelStatus.kOptimal:
         raise RuntimeError("worst-case LP failed on a certified-nonempty set")
     return res.objective, res.x
+
+
+def _refuse_nan_and_inf(a: np.ndarray) -> None:
+    # fails on NaN as on +inf
+    if not np.all(a < math.inf):
+        raise ValueError("q must hold no NaN or +inf entry")
 
 
 def _row_min(a: np.ndarray) -> np.ndarray:

@@ -118,6 +118,14 @@ def account_step(v_prev: float, k, k_prev, x, cost_vector) -> float:
     return v
 
 
+def invested_weight(k, data: ReturnMatrix) -> float:
+    """The weight of k held in every asset of data but its risk-free leg."""
+    risky = np.ones(k.size, dtype=bool)
+    if data.risk_free_index is not None:
+        risky[data.risk_free_index] = False
+    return float(k[risky].sum())
+
+
 def solve_rebalance(
     config: BacktestConfig, data: ReturnMatrix, t: int, k_prev: np.ndarray,
     start=None,
@@ -190,7 +198,7 @@ def run(config: BacktestConfig, data: ReturnMatrix):
         costs_paid.append(diag["realized_cost"] * values[-1])
         objectives.append(sol.objective)
         solve_times.append(sol.solve_time)
-        invested.append(diag["invested_weight"])
+        invested.append(invested_weight(k, data))
         iterations.append(sol.iterations)
         block_end = min(t + config.rebalance_every, T)
         for s in range(t, block_end):
@@ -271,10 +279,6 @@ def benchmark_buy_and_hold(
     v0 = 1.0 * (1.0 - initial_cost_rate * np.abs(k0).sum())
     growth = np.cumprod(1.0 + data.returns[:, start_period:], axis=1)
     values = np.concatenate([[v0], v0 * (k0 @ growth)])
-    rf = data.risk_free_index
-    risky = np.ones(n, dtype=bool)
-    if rf is not None:
-        risky[rf] = False
     path = AccountPath(
         values=values,
         start_period=start_period,
@@ -284,6 +288,6 @@ def benchmark_buy_and_hold(
         costs_paid=(float(initial_cost_rate * np.abs(k0).sum()),),
         objectives=(),
         solve_times=(),
-        invested_weights=(float(k0[risky].sum()),),
+        invested_weights=(invested_weight(k0, data),),
     )
     return path

@@ -251,7 +251,7 @@ def _solve_report(config: bt.BacktestConfig, returns) -> dict:
         "objective": sol.objective,
         "weights": k.tolist(),
         "turnover": diag["turnover_l1"],
-        "invested_weight": diag["invested_weight"],
+        "invested_weight": bt.invested_weight(k, returns),
         "solve_time_ms": sol.solve_time * 1000.0,
         "iterations": sol.iterations,
     }

@@ -59,7 +59,11 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnMatrix:
-    """Simple per-period returns, n assets by T-1 periods; every entry > -1."""
+    """Simple per-period returns, n assets by T-1 periods; every entry > -1.
+
+    The labels live here alone: tickers name the rows, and
+    risk_free_index is the row of the risk-free leg, None without one.
+    """
 
     returns: np.ndarray
     tickers: tuple = ()
@@ -87,8 +91,6 @@ class ScenarioSet:
     probabilities: np.ndarray
     x_min: np.ndarray
     x_max: np.ndarray
-    tickers: tuple = ()
-    risk_free_index: int | None = None
 
     def __post_init__(self):
         scen = np.asarray(self.scenarios, dtype=float)
@@ -97,7 +99,6 @@ class ScenarioSet:
         object.__setattr__(self, "probabilities", prob)
         object.__setattr__(self, "x_min", np.asarray(self.x_min, dtype=float))
         object.__setattr__(self, "x_max", np.asarray(self.x_max, dtype=float))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
         if scen.ndim != 2:
             raise ValueError(f"scenarios must be an (m, n) array, not {scen.shape}")
         m, n = scen.shape
@@ -116,15 +117,14 @@ class ScenarioSet:
             raise ValueError("x_min and x_max must bound every scenario")
 
     @classmethod
-    def uniform(cls, scenarios, tickers=(), risk_free_index=None) -> "ScenarioSet":
+    def uniform(cls, scenarios) -> "ScenarioSet":
         """Equally likely (m, n) scenarios, bounded by their own per-asset range."""
         # a window of a return matrix is a strided view; hold it in rows
         X = np.ascontiguousarray(scenarios, dtype=float)
         if len(X) == 0:
             raise ValueError("empty scenario window: no scenario to weight")
         return cls(scenarios=X, probabilities=np.full(len(X), 1.0 / len(X)),
-                   x_min=X.min(axis=0), x_max=X.max(axis=0),
-                   tickers=tickers, risk_free_index=risk_free_index)
+                   x_min=X.min(axis=0), x_max=X.max(axis=0))
 
     @property
     def m(self) -> int:
@@ -258,5 +258,4 @@ def build_scenario_set(returns: ReturnMatrix, window: tuple) -> ScenarioSet:
     n_cols = returns.returns.shape[1]
     if not (0 <= start < stop <= n_cols):
         raise ValueError(f"window {window} out of bounds for {n_cols} columns")
-    return ScenarioSet.uniform(returns.returns[:, start:stop].T,
-                               returns.tickers, returns.risk_free_index)
+    return ScenarioSet.uniform(returns.returns[:, start:stop].T)

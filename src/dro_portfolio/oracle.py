@@ -64,21 +64,6 @@ def contamination_worst_case(p_hat, gamma: float, q):
     return from_gamma(p_hat, gamma).worst_case(q)
 
 
-def inner_worst_case(
-    k, k_prev, scen: ScenarioSet, amb: PolyhedralAmbiguitySet, u: SeparableUtility,
-    cost_vector=None,
-):
-    """Worst-case expected utility of k over the polytope, by direct LP.
-
-    Returns (value, minimizing distribution).  A scenario outside the
-    utility domain sends the value to -inf whenever the polytope can put
-    mass on it.
-    """
-    if cost_vector is None:
-        cost_vector = np.zeros(scen.n)
-    return amb.lp_worst_case(exact_q(u, scen, k, k_prev, cost_vector))
-
-
 def contamination_vertices(p_hat, gamma: float) -> np.ndarray:
     """All vertices of the contamination polytope: (1-gamma) p_hat + gamma e_j."""
     p_hat = np.asarray(p_hat, dtype=float)
@@ -278,7 +263,7 @@ def exact_small_solve(
     if top_index < 0:
         raise ValueError("every feasible grid point left the utility domain")
     best_k = np.array([ax[i] for ax, i in zip(axes, np.unravel_index(top_index, shape))])
-    value, _ = inner_worst_case(best_k, k_prev, scen, amb, u, con.cost_vector)
+    value, _ = amb.lp_worst_case(exact_q(u, scen, best_k, k_prev, con.cost_vector))
     return best_k, value
 
 
@@ -326,20 +311,19 @@ def concavity_probe(
     scen: ScenarioSet,
     trials: int,
     seed: int = 0,
-    con: TradingConstraintSet | None = None,
 ) -> dict:
     """Randomized check that the empirical objective is jointly concave.
 
-    Samples feasible pairs (k, k_prev) twice, mixes them, and compares the
+    Samples pairs (k, k_prev) twice, feasible for leverage 1.5, cost rate
+    0.001 and turnover cost limit 0.5, mixes them, and compares the
     objective at the mixture with the mixed objective values, all trials
     at once; a triple with a value outside the utility domain is redrawn.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    if con is None:
-        con = TradingConstraintSet.uniform(
-            scen.n, leverage=1.5, cost_rate=0.001, turnover_cost_limit=0.5
-        )
+    con = TradingConstraintSet.uniform(
+        scen.n, leverage=1.5, cost_rate=0.001, turnover_cost_limit=0.5
+    )
     rng = np.random.default_rng(seed)
     violations = []
     todo = trials

@@ -411,7 +411,6 @@ def assemble(
         "cost_vector": C.copy(),
         "k_prev": k_prev.copy(),
         "leverage": con.leverage,
-        "risk_free_index": scen.risk_free_index,
     }
     return RobustLpModel(
         A_ub=A_ub,
@@ -599,17 +598,13 @@ def _diagnose_infeasible(model: RobustLpModel) -> int | None:
 
 
 def extract_weights(sol: LpSolution, layout: DecisionLayout):
-    """``sol.weights`` plus turnover, leverage, and investment diagnostics."""
+    """``sol.weights`` plus turnover, cost and leverage diagnostics."""
     if sol.status != "optimal":
         raise SolutionStatusError(f"solution status is {sol.status}, not optimal")
     x = sol.x
     k = sol.weights
     C = sol.provenance["cost_vector"]
     k_prev = sol.provenance["k_prev"]
-    rf = sol.provenance.get("risk_free_index")
-    risky = np.ones(k.size, dtype=bool)
-    if rf is not None:
-        risky[rf] = False
     diagnostics = {
         "turnover_cost": float(x[layout.u] @ C),
         "turnover_l1": float(np.abs(k - k_prev).sum()),
@@ -618,7 +613,6 @@ def extract_weights(sol: LpSolution, layout: DecisionLayout):
             (x[layout.kp].sum() + x[layout.km].sum())
             / sol.provenance["leverage"]
         ),
-        "invested_weight": float(k[risky].sum()),
     }
     return k, diagnostics
 
@@ -652,7 +646,7 @@ def rebalance(
     its row and column counts match the LP HiGHS first holds.  Returns
     (solution, model, family).  The weights are ``solution.weights``;
     ``extract_weights(solution, model.layout)`` returns them with the
-    turnover, cost, leverage and investment diagnostics.
+    turnover, cost and leverage diagnostics.
     """
     x_lo, x_hi, c_hi = approximation_box(scen, con)
     fam = build_family(u, x_lo, x_hi, 0.0, c_hi, budget)

@@ -247,3 +247,26 @@ def test_nan_is_never_on_the_simplex():
         dp.from_gamma(np.array([0.5, np.nan, 0.5]), 0.3)
     with pytest.raises(ValueError, match="simplex"):
         dp.from_gamma(np.full(2, np.nan), 0.3)
+
+
+@pytest.mark.parametrize("q", [[np.nan, 0.1], [np.inf, 0.1], [np.nan, -np.inf],
+                               [np.inf, -np.inf], [np.inf, np.inf]],
+                         ids=["nan", "inf", "nan-minus-inf", "inf-minus-inf",
+                              "all-inf"])
+def test_nan_and_plus_inf_in_q_are_refused_by_both_routes(q):
+    # only -inf has a meaning (a scenario outside the utility domain); the
+    # floor set takes the closed form, the general one (its redundant row
+    # p_1 <= 1 makes it no floor set) the LP, and lp_worst_case always the LP
+    floor_set = dp.from_gamma([0.5, 0.5], 0.3)
+    general = PolyhedralAmbiguitySet(
+        A0=np.zeros((0, 2)), d0=np.zeros(0), A1=np.vstack([-np.eye(2), [1.0, 0.0]]),
+        d1=[-0.35, -0.35, 1.0], m=2)
+    assert floor_set.floor is not None and general.floor is None
+    for amb in (floor_set, general):
+        for route in (amb.worst_case, amb.lp_worst_case):
+            with pytest.raises(ValueError, match="NaN or \\+inf"):
+                route(np.array(q))
+        # a batch is refused when any of its rows holds one
+        with pytest.raises(ValueError, match="NaN or \\+inf"):
+            amb.worst_case(np.array([[0.2, 0.1], q, [-np.inf, 0.3]]))
+        assert amb.worst_case([-np.inf, 0.1]) == -np.inf

@@ -327,6 +327,29 @@ def test_solve_report(tmp_path):
     np.testing.assert_allclose(doc["weights"], k, rtol=0, atol=1e-9)
 
 
+def test_invested_weight_leaves_out_the_risk_free_leg(tmp_path):
+    # at gamma 0.5 and zero cost the book moves into the risk-free leg
+    # (the last asset) partway through the run
+    config = write_config(tmp_path, ambiguity={"gamma": 0.5},
+                          constraints={"cost_rate": 0.0, "c_max": 0.0})
+    returns, (cfg,) = read_config(config)
+    assert returns.risk_free_index == 3
+    path, _ = backtest.run(cfg, returns)
+    assert max(k[3] for k in path.weights) > 1.0
+    for k, invested in zip(path.weights, path.invested_weights):
+        assert invested == pytest.approx(k[:3].sum(), abs=1e-12)
+    bench = backtest.benchmark_buy_and_hold(returns)
+    assert bench.invested_weights == (0.75,)
+
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", config, "--no-timestamp",
+                    "--out", str(out)]) == 0
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["weights"][3] > 1.0
+    assert doc["invested_weight"] == pytest.approx(sum(doc["weights"][:3]),
+                                                   abs=1e-12)
+
+
 def test_infeasible_solve_names_period_row_and_section(tmp_path, monkeypatch):
     real = robust_lp.assemble
     monkeypatch.setattr(robust_lp, "assemble",
@@ -950,6 +973,20 @@ def test_readme_config_schema_is_the_reader_schema(tmp_path):
     expected = json.loads(json.dumps(cli._SCHEMA))
     expected["data"]["csv"] = FIXTURE
     assert cli._load_config(args) == expected == document
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the README's one documented example of the library API runs as
+    # written and prints the objective, the weights and the turnover
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## Library quick start")[1].split("```python")[1]
+    namespace = {}
+    exec(compile(block.split("```")[0], "README.md", "exec"), namespace)
+    sol = namespace["sol"]
+    assert sol.status == "optimal"
+    out = capsys.readouterr().out
+    assert out.startswith(f"{sol.objective} [")
+    assert out.endswith(f"] {namespace['diag']['turnover_l1']}\n")
 
 
 def test_readme_cli_options_are_the_parser_options():

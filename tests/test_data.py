@@ -143,11 +143,9 @@ def test_build_scenario_set_window(tmp_path):
     np.testing.assert_allclose(scen.x_min, returns[:, 3:8].min(axis=1))
     np.testing.assert_allclose(scen.x_max, returns[:, 3:8].max(axis=1))
     # the window is the equally weighted set of its block, bit for bit
-    same = data_mod.ScenarioSet.uniform(returns[:, 3:8].T, ("A", "B"))
+    same = data_mod.ScenarioSet.uniform(returns[:, 3:8].T)
     for field in ("scenarios", "probabilities", "x_min", "x_max"):
         np.testing.assert_array_equal(getattr(scen, field), getattr(same, field))
-    assert scen.tickers == same.tickers
-    assert scen.risk_free_index == same.risk_free_index
 
 
 def test_scenario_set_field_shapes_are_checked():

@@ -100,10 +100,8 @@ def test_inner_worst_case_consistency(log_utility):
     for _ in range(5):
         scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
         k = oracle._sample_feasible_weights(rng, scen, con, 1)[0]
-        val, p_star = oracle.inner_worst_case(
-            k, np.zeros(scen.n), scen, amb, log_utility, con.cost_vector
-        )
         q = oracle.exact_q(log_utility, scen, k, np.zeros(scen.n), con.cost_vector)
+        val, p_star = amb.lp_worst_case(q)
         assert val == pytest.approx(float(p_star @ q), abs=1e-9)
         assert dp.contains(amb, p_star, tol=1e-7)
 
@@ -116,11 +114,11 @@ def test_inner_worst_case_probes_a_scenario_outside_the_domain(log_utility):
     pinned = dp.PolyhedralAmbiguitySet(
         A0=[[1.0, 0.0, 0.0]], d0=[0.0], A1=np.zeros((0, 3)), d1=np.zeros(0),
         m=3)
-    value, p = oracle.inner_worst_case(k, k_prev, scen, pinned, log_utility)
+    q = oracle.exact_q(log_utility, scen, k, k_prev, np.zeros(1))
+    value, p = pinned.lp_worst_case(q)
     assert value == pytest.approx(math.log(1.2), rel=1e-12)
     np.testing.assert_allclose(p, [0.0, 1.0, 0.0], atol=1e-12)
-    value, _ = oracle.inner_worst_case(
-        k, k_prev, scen, dp.from_gamma(scen.probabilities, 0.3), log_utility)
+    value, _ = dp.from_gamma(scen.probabilities, 0.3).lp_worst_case(q)
     assert value == -math.inf
 
 
@@ -135,7 +133,7 @@ def test_worst_case_probes_every_scenario_outside_the_domain(log_utility):
     k, k_prev = np.array([1.2]), np.zeros(1)
     q = oracle.exact_q(log_utility, scen, k, k_prev, np.zeros(1))
     assert q[0] == q[1] == -np.inf
-    value, p = oracle.inner_worst_case(k, k_prev, scen, amb, log_utility)
+    value, p = amb.lp_worst_case(q)
     assert value == -math.inf
     assert p[1] == pytest.approx(0.5, abs=1e-9)
     assert amb.worst_case(q) == -math.inf
@@ -208,7 +206,8 @@ def exact_small_solve_by_meshgrid(scen, amb, con, k_prev, u):
             best_k = Kc[t].copy()
     if best_k is None:
         raise ValueError("every feasible grid point left the utility domain")
-    value, _ = oracle.inner_worst_case(best_k, k_prev, scen, amb, u, con.cost_vector)
+    value, _ = amb.lp_worst_case(oracle.exact_q(u, scen, best_k, k_prev,
+                                                con.cost_vector))
     return best_k, value
 
 
@@ -468,10 +467,8 @@ def test_exact_small_solve_per_point_lp_matches_closed_form(log_utility):
 
 def test_concavity_probe_clean(log_utility):
     rng = np.random.default_rng(10)
-    scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
-    report = oracle.concavity_probe(
-        log_utility, scen, trials=200, seed=3, con=con
-    )
+    scen, _, _ = oracle.random_small_instance(rng, cost_rate=0.002)
+    report = oracle.concavity_probe(log_utility, scen, trials=200, seed=3)
     assert report["passed"]
     assert report["violation_count"] == 0
     assert report["trials"] == 200

@@ -1,5 +1,6 @@
 """Robust LP assembly and solution: structure audits and math oracles."""
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -157,8 +158,8 @@ def test_cut_rows_carry_a_general_polytope(log_utility):
         sol = robust_lp.solve(model)
         assert sol.status == "optimal"
         assert sol.residual <= 1e-9
-        inner, _ = oracle.inner_worst_case(sol.weights, k_prev, scen, amb,
-                                           log_utility, con.cost_vector)
+        inner, _ = amb.lp_worst_case(oracle.exact_q(
+            log_utility, scen, sol.weights, k_prev, con.cost_vector))
         assert -1e-7 <= sol.objective - inner <= 2e-5 + 1e-7
         # the dual value reads nu off the equality row as well as lam
         gap = oracle.duality_gap(sol.weights, sol, scen, amb, log_utility)
@@ -667,36 +668,67 @@ def test_criterion_7_lp_matches_its_reference(log_utility):
     assert np.max(np.abs(sol.weights - reference["weights"])) <= 1e-9
 
 
-@pytest.mark.parametrize("budget_x", [1e-3, 1e-5])
-def test_permuting_scenarios_with_their_probabilities_changes_nothing(
-        log_utility, budget_x):
-    # metamorphic relation on the criterion-7 draw (n = 478, m = 126): the
-    # scenarios and p_hat permuted together give the same LP up to row
-    # order.  Each returned point meets the rows HiGHS held within its
-    # primal tolerance delta = 1e-7, and an on-demand point meets every
-    # other plane within _CUT_TOL = delta.  Raising every return-leg
-    # right-hand side by delta raises the optimum by exactly delta, so the
-    # objectives lie within 2 delta.  At a unique optimum both runs stop
-    # at one vertex, which a delta-feasible basis moves by about delta, so
-    # the weights are held to the same 2 delta.  Measured: objectives
-    # within 8.1e-17 and weights within 3.6e-14 (whole, L = 5), 2.6e-18
-    # and 1.7e-15 (on demand, L = 32), by different iteration counts, so
-    # the optimum is unique.
-    tol = 2e-7
-    X = np.random.default_rng(7).normal(5e-4, 0.02, size=(126, 478))
-    p_hat = np.random.default_rng(1).dirichlet(np.ones(126))
-    perm = np.random.default_rng(2).permutation(126)
+def criterion_7_rebalance(u, budget_x, rows=slice(None), cols=slice(None)):
+    """The criterion-7 draw (n = 478, m = 126) with a seeded Dirichlet p_hat
+    at gamma 0.3, its scenarios taken in the order ``rows`` and its assets
+    in the order ``cols``: its solution."""
+    X = np.random.default_rng(7).normal(5e-4, 0.02, size=(126, 478))[rows][:, cols]
+    p_hat = np.random.default_rng(1).dirichlet(np.ones(126))[rows]
+    scen = dp.ScenarioSet(scenarios=X, probabilities=p_hat,
+                          x_min=X.min(axis=0), x_max=X.max(axis=0))
     con = robust_lp.TradingConstraintSet.uniform(
         478, leverage=1.5, cost_rate=0.001, turnover_cost_limit=0.02)
-    sols = []
-    for rows in (np.arange(126), perm):
-        scen = dp.ScenarioSet(scenarios=X[rows], probabilities=p_hat[rows],
-                              x_min=X.min(axis=0), x_max=X.max(axis=0))
-        sol, model, _ = robust_lp.rebalance(
-            scen, dp.from_gamma(p_hat[rows], 0.3), con, log_utility,
-            dp.ErrorBudget(budget_x, 1e-5), np.zeros(478))
-        assert sol.status == "optimal"
-        assert (model.cut_family is None) == (budget_x == 1e-3)
-        sols.append(sol)
-    assert abs(sols[0].objective - sols[1].objective) <= tol
-    assert np.max(np.abs(sols[0].weights - sols[1].weights)) <= tol
+    sol, model, _ = robust_lp.rebalance(
+        scen, dp.from_gamma(p_hat, 0.3), con, u,
+        dp.ErrorBudget(budget_x, 1e-5), np.zeros(478))
+    assert sol.status == "optimal"
+    assert (model.cut_family is None) == (budget_x == 1e-3)
+    return sol
+
+
+@pytest.fixture(scope="module")
+def unpermuted_criterion_7(log_utility):
+    """criterion_7_rebalance in the draw's own order, solved once a budget
+    for both permutation tests."""
+    return functools.cache(
+        lambda budget_x: criterion_7_rebalance(log_utility, budget_x))
+
+
+# The permutation tests below are metamorphic relations on the
+# criterion-7 draw: a permuted input gives the same LP up to row and
+# column order.  Each returned point meets the rows HiGHS held within its
+# primal tolerance delta = 1e-7, and an on-demand point meets every other
+# plane within _CUT_TOL = delta.  Raising every return-leg right-hand side
+# by delta raises the optimum by exactly delta, so the objectives lie
+# within 2 delta.  At a unique optimum both runs stop at one vertex, which
+# a delta-feasible basis moves by about delta, so the weights are held to
+# the same 2 delta.  L = 5 at eps_x 1e-3 (whole LP), 32 at 1e-5 (on demand).
+PERMUTATION_TOL = 2e-7
+
+
+@pytest.mark.parametrize("budget_x", [1e-3, 1e-5])
+def test_permuting_scenarios_with_their_probabilities_changes_nothing(
+        log_utility, unpermuted_criterion_7, budget_x):
+    # the scenarios and p_hat permuted together.  Measured: objectives
+    # within 8.1e-17 and weights within 3.6e-14 (whole), 2.6e-18 and
+    # 1.7e-15 (on demand), by different iteration counts, so the optimum
+    # is unique
+    sol = unpermuted_criterion_7(budget_x)
+    perm = np.random.default_rng(2).permutation(126)
+    moved = criterion_7_rebalance(log_utility, budget_x, rows=perm)
+    assert abs(sol.objective - moved.objective) <= PERMUTATION_TOL
+    assert np.max(np.abs(sol.weights - moved.weights)) <= PERMUTATION_TOL
+
+
+@pytest.mark.parametrize("budget_x", [1e-3, 1e-5])
+def test_permuting_assets_permutes_the_weights(
+        log_utility, unpermuted_criterion_7, budget_x):
+    # the assets permuted, with their bounds: no asset is treated apart
+    # from its column, so the weights come back in the permuted order.
+    # Measured: objectives within 4.3e-18 and weights within 1.7e-15
+    # (whole), 2.6e-18 and 2.5e-15 (on demand)
+    sol = unpermuted_criterion_7(budget_x)
+    perm = np.random.default_rng(3).permutation(478)
+    moved = criterion_7_rebalance(log_utility, budget_x, cols=perm)
+    assert abs(sol.objective - moved.objective) <= PERMUTATION_TOL
+    assert np.max(np.abs(sol.weights[perm] - moved.weights)) <= PERMUTATION_TOL
