@@ -23,9 +23,10 @@ is violated; that optimum is the whole LP's, held in a few rows per
 scenario, and the m*L rows are never built.  Either way a solve
 may start from the optimal basis of an earlier one, such as the previous
 rebalance of a backtest; HiGHS takes it when it has the column and row
-counts of the LP HiGHS first holds, and starts cold otherwise.  Both the
-solve and the elastic LP that diagnoses an infeasible one reach HiGHS
-through ``highs``, as every LP of the package does.
+counts of the LP HiGHS first holds, and starts cold otherwise.  An
+infeasible solve is diagnosed from the Farkas certificate of its own
+HiGHS run, and the solve reaches HiGHS through ``highs.load``, as every
+LP of the package goes through ``highs``.
 """
 
 from __future__ import annotations
@@ -431,6 +432,7 @@ class _HighsResult(NamedTuple):
 
     ``basis`` is the optimal basis over the held rows; ``rows`` counts the
     rows HiGHS held when it stopped, equality rows included.
+    ``certificate_row`` is the row of an infeasible run's certificate.
     """
 
     status: highs.HighsModelStatus
@@ -438,6 +440,7 @@ class _HighsResult(NamedTuple):
     x: np.ndarray | None
     basis: highs.HighsBasis | None
     rows: int | None = None
+    certificate_row: int | None = None
 
 
 def _most_violated(cuts: CutFamily, x) -> tuple:
@@ -474,6 +477,14 @@ def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
     the first optimum that adds no row and returns its basis; the
     iterations sum over the rounds.  The held rows relax the model, so an
     infeasible or unbounded run means the same for the whole LP.
+
+    An infeasible run's dual ray, HiGHS's Farkas certificate, holds row
+    multipliers that combine the held rows into a contradiction; the
+    result names the assembled inequality row it weights most, the lowest
+    on a tie, or None when HiGHS has no ray.  The ray weights no cut and no
+    equality row: w is free and sits only in the return-leg cuts, with
+    coefficient +1, so their multipliers, all of one sign, sum to 0, and
+    s and each y_j then force the cost-leg and equality multipliers to 0.
     """
     h = highs.load(-model.c_max_objective, model.bounds[:, 0],
                    model.bounds[:, 1],
@@ -498,6 +509,11 @@ def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
         status = (highs.HighsModelStatus.kSolveError if failed
                   else h.getModelStatus())
         iterations += int(h.getInfo().simplex_iteration_count)
+        if status == highs.HighsModelStatus.kInfeasible:
+            _, has_ray, ray = h.getDualRay()
+            row = int(np.argmax(np.abs(ray[:model.n_rows]))) if has_ray else None
+            return _HighsResult(status, iterations, None, None, h.getNumRow(),
+                                row)
         if status != highs.HighsModelStatus.kOptimal:
             return _HighsResult(status, iterations, None, None, h.getNumRow())
         x = np.array(h.getSolution().col_value)
@@ -526,11 +542,12 @@ def solve(model: RobustLpModel,
     its return-leg cuts on demand (``_run_highs``), and its ``iterations``
     sum all rounds.  The residual below is always taken over the whole
     model, every plane of the family included.
-    The status is "optimal", "infeasible" (with the row of an elastic
-    infeasibility certificate), "unbounded" or "numerical".  "numerical"
-    covers both a HiGHS failure and a returned point whose worst row
-    violation, kept in ``residual``, exceeds _RESIDUAL_TOL or is NaN; an
-    equality row counts its violation in either direction.
+    The status is "optimal", "infeasible" (with the assembled row that
+    HiGHS's Farkas certificate weights most, see ``_run_highs``),
+    "unbounded" or "numerical".  "numerical" covers both a HiGHS failure
+    and a returned point whose worst row violation, kept in ``residual``,
+    exceeds _RESIDUAL_TOL or is NaN; an equality row counts its violation
+    in either direction.  A zero weight is 0.0, never -0.0.
     """
     t0 = time.perf_counter()
     res = _run_highs(model, start)
@@ -539,7 +556,7 @@ def solve(model: RobustLpModel,
                   provenance=model.provenance, rows_held=res.rows)
     if res.status == highs.HighsModelStatus.kInfeasible:
         return LpSolution(status="infeasible",
-                          certificate_row=_diagnose_infeasible(model), **common)
+                          certificate_row=res.certificate_row, **common)
     if res.status == highs.HighsModelStatus.kUnbounded:
         return LpSolution(status="unbounded", **common)
     if res.status != highs.HighsModelStatus.kOptimal:
@@ -555,7 +572,8 @@ def solve(model: RobustLpModel,
     lay = model.layout
     return LpSolution(
         status="optimal",
-        weights=x[lay.kp] - x[lay.km],
+        # HiGHS may give a zero column as -0.0; adding 0.0 makes it 0.0
+        weights=x[lay.kp] - x[lay.km] + 0.0,
         objective=float(model.c_max_objective @ x),
         nu=x[lay.nu].copy(),
         lam=x[lay.lam].copy(),
@@ -564,37 +582,6 @@ def solve(model: RobustLpModel,
         basis=res.basis,
         **common,
     )
-
-
-def _diagnose_infeasible(model: RobustLpModel) -> int | None:
-    """Elastic relaxation; the first row needing slack indexes the conflict.
-
-    The elastic LP holds the equality rows, which define the free lifted
-    returns y and can always be met, and every inequality row outside the
-    two cut sections, each with a slack.  Cut rows need no slack and are
-    left out: lowering the free w and s, which no other row holds, meets
-    every cut.  The row returned is in model numbering.
-    """
-    nv = model.layout.nv
-    elastic = np.ones(model.n_rows, dtype=bool)
-    for name in ("cuts_x", "cuts_c"):
-        lo, hi = model.row_sections.get(name, (0, 0))
-        elastic[lo:hi] = False
-    rows = np.flatnonzero(elastic)
-    k = rows.size
-    A = sp.hstack([model.A_ub[rows], -sp.eye(k)], format="csr")
-    A_eq = sp.hstack([model.A_eq, sp.csr_matrix((model.A_eq.shape[0], k))],
-                     format="csr")
-    c = np.concatenate([np.zeros(nv), np.ones(k)])
-    bounds = np.vstack([model.bounds, np.tile([0.0, np.inf], (k, 1))])
-    res = highs.minimize(
-        c, bounds[:, 0], bounds[:, 1],
-        np.concatenate([np.full(k, -np.inf), model.b_eq]),
-        np.concatenate([model.b_ub[rows], model.b_eq]), [A, A_eq])
-    if res.status != highs.HighsModelStatus.kOptimal:
-        return None
-    hot = np.flatnonzero(res.x[nv:] > 1e-9)
-    return int(rows[hot[0]]) if hot.size else None
 
 
 def extract_weights(sol: LpSolution, layout: DecisionLayout):

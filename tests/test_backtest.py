@@ -110,6 +110,22 @@ def test_infeasible_rebalance_names_period_row_and_section(
     )
 
 
+def test_zero_weights_are_positive_zeros(two_regime_returns, log_utility):
+    # at gamma 1 the long-only LP of the last window holds nothing, and
+    # HiGHS gives some K+ at its bound as -0.0; no report may print -0.0
+    cfg = backtest_config(
+        train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,
+        turnover_cost_limit=0.02, gamma=1.0, eps_x=1e-3, eps_c=1e-5,
+        utility=log_utility, allow_short=False,
+    )
+    n, T = two_regime_returns.returns.shape
+    sol, _, _ = backtest.solve_rebalance(cfg, two_regime_returns, T,
+                                         np.zeros(n))
+    assert sol.status == "optimal"
+    np.testing.assert_array_equal(sol.weights, np.zeros(n))
+    assert not np.signbit(sol.weights).any()
+
+
 def crash_config(c_max, log_utility):
     return backtest_config(
         train_window=60, rebalance_every=20, leverage=1.5, cost_rate=0.001,

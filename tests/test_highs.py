@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 from dro_portfolio import (PolyhedralAmbiguitySet, from_gamma, highs, oracle,
                            robust_lp)
 
-from conftest import small_family, with_contradictory_leverage
+from conftest import small_family
 
 
 def via_linprog(c, col_lo, col_hi, row_lo, row_hi, blocks):
@@ -68,24 +68,6 @@ def test_empty_polytope_is_infeasible_in_both():
     assert res.status == highs.HighsModelStatus.kInfeasible
     assert res.objective is None and res.x is None
     assert via_linprog(c, **rows).status == 2
-
-
-def test_elastic_lp_matches_linprog(log_utility, kelly_instance, monkeypatch):
-    scen, amb, con = kelly_instance
-    fam = small_family(log_utility, scen, con, 1e-6, 1e-6)
-    model = robust_lp.assemble(scen, fam, amb, con, np.zeros(1))
-    bad = with_contradictory_leverage(model)
-    lps, real = [], highs.minimize
-
-    def recorded(*args):
-        lps.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(highs, "minimize", recorded)
-    sol = robust_lp.solve(bad)
-    assert sol.certificate_row == model.row_sections["leverage"][0]
-    (args,) = lps
-    assert_same_optimum(real(*args), via_linprog(*args))
 
 
 def test_whole_rebalance_lp_matches_linprog(log_utility):

@@ -434,18 +434,14 @@ def test_infeasible_model_reports_certificate_row(log_utility, kelly_instance,
     # magnitudes <= -1
     rows = model.row_sections["leverage"]
     bad = with_contradictory_leverage(model)
-    elastic = []
 
-    def recorded(c, col_lo, col_hi, row_lo, row_hi, blocks):
-        elastic.append(int(np.isneginf(row_lo).sum()))  # inequality rows
-        return real(c, col_lo, col_hi, row_lo, row_hi, blocks)
+    def no_lp(*args):
+        raise AssertionError("the diagnosis must not solve another LP")
 
-    real = highs.minimize
-    monkeypatch.setattr(highs, "minimize", recorded)
+    # the certificate comes from the dual ray of the run that failed
+    monkeypatch.setattr(highs, "minimize", no_lp)
     sol = robust_lp.solve(bad)
-    # the elastic LP holds no cut row of either leg
     assert model.row_sections["cuts_x"] == (0, scen.m)
-    assert elastic == [model.n_rows - scen.m - fam.b.size]
     assert sol.status == "infeasible"
     assert sol.weights is None
     assert sol.certificate_row == rows[0]
@@ -668,9 +664,10 @@ def test_criterion_7_lp_matches_its_reference(log_utility):
     assert np.max(np.abs(sol.weights - reference["weights"])) <= 1e-9
 
 
-def criterion_7_rebalance(u, budget_x, rows=slice(None), cols=slice(None)):
+def criterion_7_rebalance(u, budget_x, rows=slice(None), cols=slice(None),
+                          gamma=0.3):
     """The criterion-7 draw (n = 478, m = 126) with a seeded Dirichlet p_hat
-    at gamma 0.3, its scenarios taken in the order ``rows`` and its assets
+    at ``gamma``, its scenarios taken in the order ``rows`` and its assets
     in the order ``cols``: its solution."""
     X = np.random.default_rng(7).normal(5e-4, 0.02, size=(126, 478))[rows][:, cols]
     p_hat = np.random.default_rng(1).dirichlet(np.ones(126))[rows]
@@ -679,7 +676,7 @@ def criterion_7_rebalance(u, budget_x, rows=slice(None), cols=slice(None)):
     con = robust_lp.TradingConstraintSet.uniform(
         478, leverage=1.5, cost_rate=0.001, turnover_cost_limit=0.02)
     sol, model, _ = robust_lp.rebalance(
-        scen, dp.from_gamma(p_hat, 0.3), con, u,
+        scen, dp.from_gamma(p_hat, gamma), con, u,
         dp.ErrorBudget(budget_x, 1e-5), np.zeros(478))
     assert sol.status == "optimal"
     assert (model.cut_family is None) == (budget_x == 1e-3)
@@ -688,8 +685,8 @@ def criterion_7_rebalance(u, budget_x, rows=slice(None), cols=slice(None)):
 
 @pytest.fixture(scope="module")
 def unpermuted_criterion_7(log_utility):
-    """criterion_7_rebalance in the draw's own order, solved once a budget
-    for both permutation tests."""
+    """criterion_7_rebalance in the draw's own order at gamma 0.3, solved
+    once a budget for the permutation and gamma tests."""
     return functools.cache(
         lambda budget_x: criterion_7_rebalance(log_utility, budget_x))
 
@@ -732,3 +729,20 @@ def test_permuting_assets_permutes_the_weights(
     moved = criterion_7_rebalance(log_utility, budget_x, cols=perm)
     assert abs(sol.objective - moved.objective) <= PERMUTATION_TOL
     assert np.max(np.abs(sol.weights[perm] - moved.weights)) <= PERMUTATION_TOL
+
+
+@pytest.mark.parametrize("budget_x", [1e-3, 1e-5])
+def test_raising_gamma_does_not_raise_the_objective(
+        log_utility, unpermuted_criterion_7, budget_x):
+    # the contamination sets are nested, {p >= (1 - gamma) p_hat} growing
+    # with gamma, so the worst case over a larger set, and the objective
+    # with it, cannot rise; each optimum is within delta of the LP's, as
+    # above.  Measured 0.01051 > 0.00508 > 0.00301 (whole) and
+    # 0.01012 > 0.00463 > 0.00255 (on demand) at gamma 0, 0.3, 1
+    objectives = [
+        criterion_7_rebalance(log_utility, budget_x, gamma=0.0).objective,
+        unpermuted_criterion_7(budget_x).objective,
+        criterion_7_rebalance(log_utility, budget_x, gamma=1.0).objective,
+    ]
+    assert objectives[1] <= objectives[0] + PERMUTATION_TOL
+    assert objectives[2] <= objectives[1] + PERMUTATION_TOL
