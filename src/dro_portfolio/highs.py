@@ -7,11 +7,12 @@ binding that ``linprog(method="highs")`` drives, in the form
 
 with A given row-wise, and without ``linprog``'s input checks and
 conversions.  ``load`` returns the loaded solver, for a caller that sets
-options, a start basis or more rows before it runs.  ``minimize`` runs
-one LP with HiGHS's defaults, the settings ``linprog(method="highs")``
-uses: presolve on, dual simplex.  A test holds ``minimize`` against
-``linprog`` bit for bit, so a scipy release that changes the binding
-fails it.
+options, a start basis or more rows before it runs; every load reuses
+one HiGHS instance, cleared of the last model and options first.
+``minimize`` runs one LP with HiGHS's defaults, the settings
+``linprog(method="highs")`` uses: presolve on, dual simplex.  A test
+holds ``minimize`` against ``linprog`` bit for bit, so a scipy release
+that changes the binding fails it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from scipy.optimize._highspy._core import (  # noqa: F401 (re-exported)
     _Highs,
 )
 
+# the instance every load reuses, made on first use
+_instance: _Highs | None = None
+
 
 class Result(NamedTuple):
     """HiGHS's model status; the objective and x only at an optimum."""
@@ -45,10 +49,20 @@ def load(c, col_lo, col_hi, row_lo, row_hi, blocks) -> _Highs | None:
     ``blocks`` are CSR matrices with one column per entry of c; their
     rows, stacked in order, are the rows of A, so a caller holding A in
     parts need not build the stacked sparse matrix.
+
+    The instance is shared, so a loaded instance is valid until the next
+    ``load``, and the package solves one LP at a time, on one thread.
+    That load clears its model, solution, basis and options, so each LP
+    runs as it would on a new instance, without paying for one.
     """
+    global _instance
+    if _instance is None:
+        _instance = _Highs()
+    h = _instance
+    h.clearModel()
+    h.resetOptions()
     n_cols = len(c)
     nnz = list(accumulate((b.nnz for b in blocks), initial=0))
-    h = _Highs()
     h.setOptionValue("output_flag", False)
     loaded = h.passModel(
         n_cols, sum(b.shape[0] for b in blocks), nnz[-1],

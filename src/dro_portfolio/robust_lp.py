@@ -168,6 +168,16 @@ class CutFamily:
         return sp.csr_matrix((self.vals, self.cols, self.indptr),
                              shape=(m, self.y0 + m))
 
+    @cached_property
+    def breaks(self) -> np.ndarray:
+        """Where plane l + 1 falls below plane l, for l < L - 1.
+
+        Plane l at y is a[l] y + gamma_x[l].  The utility is concave, so a
+        falls as l rises, and the lowest plane at y, the one each
+        scenario violates most, is plane ``searchsorted(breaks, y)``.
+        """
+        return np.diff(self.gamma_x) / -np.diff(self.a)
+
     @property
     def first(self) -> int:
         """The plane every scenario starts with: the lowest at y = 0."""
@@ -448,14 +458,21 @@ def _most_violated(cuts: CutFamily, x) -> tuple:
 
     Cut (j, l) is violated by its row times x less gamma_x[l], summed as a
     sparse row product sums it: row j of the pattern, then -a[l] y_j,
-    then less gamma_x[l].  A tie goes to the lowest l.
+    then less gamma_x[l].  Only the planes next to the lowest at y_j, as
+    ``cuts.breaks`` places it, are summed, which covers a y_j that
+    rounding puts on the wrong side of a break: O(m log L), not O(m L).
+    A tie goes to the lowest l.
     """
     m = cuts.indptr.size - 1
-    violation = np.multiply.outer(x[cuts.y0:cuts.y0 + m], -cuts.a)
+    y = x[cuts.y0:cuts.y0 + m]
+    near = np.searchsorted(cuts.breaks, y)[:, None] + np.arange(-1, 2)
+    np.clip(near, 0, cuts.a.size - 1, out=near)
+    violation = y[:, None] * -cuts.a[near]
     violation += (cuts.pattern @ x)[:, None]
-    violation -= cuts.gamma_x
-    plane = np.argmax(violation, axis=1)
-    return plane, violation[np.arange(m), plane]
+    violation -= cuts.gamma_x[near]
+    best = np.argmax(violation, axis=1)
+    rows = np.arange(m)
+    return near[rows, best], violation[rows, best]
 
 
 def _run_highs(model: RobustLpModel, start=None) -> _HighsResult:
@@ -626,16 +643,24 @@ def rebalance(
     budget: ErrorBudget,
     k_prev,
     start: highs.HighsBasis | None = None,
+    family: HyperplaneFamily | None = None,
 ) -> tuple:
     """One robust rebalance: box, tangent family, LP assembly and solve.
 
     ``start`` is passed on to ``solve``, which warm-starts from it when
-    its row and column counts match the LP HiGHS first holds.  Returns
-    (solution, model, family).  The weights are ``solution.weights``;
-    ``extract_weights(solution, model.layout)`` returns them with the
-    turnover, cost and leverage diagnostics.
+    its row and column counts match the LP HiGHS first holds.  ``family``
+    is one that an earlier call built for the same utility and budget,
+    such as the previous rebalance of a backtest: its planes are used
+    again when its pinned endpoints are the new approximation box, and a
+    new family is built otherwise.  Returns (solution, model, family).
+    The weights are ``solution.weights``; ``extract_weights(solution,
+    model.layout)`` returns them with the turnover, cost and leverage
+    diagnostics.
     """
     x_lo, x_hi, c_hi = approximation_box(scen, con)
-    fam = build_family(u, x_lo, x_hi, 0.0, c_hi, budget)
+    fam = family
+    if fam is None or (fam.x_points[0], fam.x_points[-1], fam.c_points[0],
+                       fam.c_points[-1]) != (x_lo, x_hi, 0.0, c_hi):
+        fam = build_family(u, x_lo, x_hi, 0.0, c_hi, budget)
     model = assemble(scen, fam, amb, con, k_prev)
     return solve(model, start), model, fam

@@ -105,3 +105,47 @@ def test_refused_model_is_a_model_error(log_utility, kelly_instance):
             == highs.HighsModelStatus.kModelError)
     sol = robust_lp.solve(bad)
     assert sol.status == "numerical" and sol.weights is None
+
+
+def test_the_shared_instance_solves_as_a_new_one(log_utility, monkeypatch):
+    # load reuses one HiGHS instance; an LP loaded after another of another
+    # shape, run with presolve off from a start basis, must solve as it does
+    # on a new instance, on demand rows included
+    def instance(seed, budget_x):
+        scen, amb, con = oracle.random_small_instance(
+            np.random.default_rng(seed), cost_rate=0.002)
+        fam = small_family(log_utility, scen, con, budget_x, 1e-5)
+        return robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
+
+    first, second = instance(0, 5e-4), instance(1, 1e-6)
+    assert first.layout.nv != second.layout.nv
+    assert second.cut_family is not None
+    start = robust_lp.solve(first).basis
+    shared = highs._instance
+    warm = robust_lp.solve(first, start)
+    after = robust_lp.solve(second)
+    assert warm.status == after.status == "optimal"
+    assert highs._instance is shared
+    monkeypatch.setattr(highs, "_instance", None)
+    new = robust_lp.solve(second)
+    np.testing.assert_array_equal(after.x, new.x)
+    assert (after.objective, after.iterations, after.rows_held) == (
+        new.objective, new.iterations, new.rows_held)
+    assert after.basis.col_status == new.basis.col_status
+    assert after.basis.row_status == new.basis.row_status
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_minimize_after_a_rebalance_matches_linprog(log_utility, seed):
+    # a rebalance leaves presolve off and its basis in the shared instance;
+    # the next minimize runs with HiGHS's defaults, as linprog does
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        scen, amb, con = oracle.random_small_instance(rng, cost_rate=0.002)
+        fam = small_family(log_utility, scen, con, 5e-4, 5e-4)
+        model = robust_lp.assemble(scen, fam, amb, con, np.zeros(scen.n))
+        robust_lp.solve(model, robust_lp.solve(model).basis)
+        amb = random_polytope(rng, int(rng.integers(2, 131)))
+        q = rng.normal(0.0, 0.2, amb.m)
+        rows = amb.lp_rows()
+        assert_same_optimum(highs.minimize(q, **rows), via_linprog(q, **rows))
